@@ -17,17 +17,18 @@ running the scenario (the error is recorded in the report directory).
 from __future__ import annotations
 
 import argparse
-import csv
 import os
 import shutil
 import sys
+import traceback
 from dataclasses import dataclass, fields
 
 import yaml
 
 from .errors import ConfigError, RoughwaveError
 from .mollify import EpsLadder
-from .scenarios import SCENARIOS, ScenarioReport, _echo, _fmt, write_report
+from .scenarios import (SCENARIOS, ScenarioReport, format_value,
+                        write_error_report, write_report)
 
 _MAX_SEED = 2**63
 
@@ -59,9 +60,9 @@ def _build_ladder(value, path: str) -> EpsLadder:
         raise ConfigError(f"'{path}': {exc}") from exc
 
 
-def _coerce(value, declared: str, path: str):
+def _coerce(value, declared: str, path: str, default=None):
     # spec dataclasses use postponed annotations, so field types arrive
-    # as strings
+    # as strings; tuple elements take their type from the field's default
     if declared == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"'{path}' must be an integer, got {value!r}")
@@ -77,7 +78,11 @@ def _coerce(value, declared: str, path: str):
     if declared == "tuple":
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"'{path}' must be a list, got {value!r}")
-        return _deep_tuple(value)
+        value = _deep_tuple(value)
+        if isinstance(default, tuple) and default:
+            for k, v in enumerate(value):
+                _coerce(v, type(default[0]).__name__, f"{path}[{k}]", default[0])
+        return value
     if declared == "EpsLadder":
         return _build_ladder(value, path)
     return value
@@ -98,7 +103,8 @@ def _validate_section(name: str, section, build: bool, master_seed=None):
                 f"'{path}': master_seed belongs at the top level")
         if key not in by_name:
             raise ConfigError(f"unknown config key '{path}'")
-        kwargs[key] = _coerce(value, by_name[key].type, path)
+        kwargs[key] = _coerce(value, by_name[key].type, path,
+                              by_name[key].default)
     if not build:
         return None
     try:
@@ -146,21 +152,6 @@ def parse_config(data, seed_override: int | None = None) -> RunConfig:
     return RunConfig(scenario=scenario, spec=spec)
 
 
-def _write_error_report(outdir: str, scenario: str, spec, exc) -> None:
-    os.makedirs(outdir, exist_ok=True)
-    with open(os.path.join(outdir, "config_echo.csv"), "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["key", "value"])
-        for k, v in sorted(_echo(spec).items()):
-            writer.writerow([k, _fmt(v)])
-    lines = [f"scenario: {scenario}",
-             f"master_seed: {spec.master_seed}",
-             f"error: {type(exc).__name__}: {exc}",
-             "overall: ERROR"]
-    with open(os.path.join(outdir, "verdicts.txt"), "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def _print_report(report: ScenarioReport, verbosity: int) -> None:
     if verbosity < 1:
         return
@@ -169,16 +160,17 @@ def _print_report(report: ScenarioReport, verbosity: int) -> None:
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
         note = f"  ({c.note})" if c.note else ""
-        print(f"  {status} {c.name}: observed={_fmt(c.observed)} "
-              f"bound={_fmt(c.bound)}{note}")
+        print(f"  {status} {c.name}: observed={format_value(c.observed)} "
+              f"bound={format_value(c.bound)}{note}")
     for table in report.tables:
         print(f"table {table.name}: {','.join(table.columns)}")
         for row in table.rows:
-            print("  " + "  ".join(_fmt(v) for v in row))
+            print("  " + "  ".join(format_value(v) for v in row))
     if verbosity >= 2 and report.interchange:
         print("norm interchange (label, p, sup of norms, norm of sups):")
         for label, p, lhs, rhs in report.interchange:
-            print(f"  {label}  p={_fmt(p)}  {_fmt(lhs)}  {_fmt(rhs)}")
+            print(f"  {label}  p={format_value(p)}  {format_value(lhs)}  "
+                  f"{format_value(rhs)}")
     print(f"overall: {'PASS' if report.passed else 'FAIL'}")
 
 
@@ -241,8 +233,10 @@ def main(argv=None) -> int:
     _, runner = SCENARIOS[run_config.scenario]
     try:
         report = runner(run_config.spec, jobs=args.jobs)
-    except RoughwaveError as exc:
-        _write_error_report(outdir, run_config.scenario, run_config.spec, exc)
+    except Exception as exc:  # every runtime failure exits 3 with a report
+        if not isinstance(exc, RoughwaveError):
+            traceback.print_exc()
+        write_error_report(outdir, run_config.scenario, run_config.spec, exc)
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 

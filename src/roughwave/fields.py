@@ -95,12 +95,6 @@ class SampledProcess:
         """Piecewise-linear evaluation between nodes."""
         return np.interp(x, self.grid.nodes(), self.values)
 
-    def to_rows(self):
-        xs = self.grid.nodes()
-        yield ("x", "value")
-        for x, v in zip(xs, self.values):
-            yield (repr(float(x)), repr(float(v)))
-
 
 @dataclass(frozen=True)
 class SampledField2D:

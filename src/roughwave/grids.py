@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,6 +68,3 @@ class Grid2D:
     @property
     def cell_measure(self) -> float:
         return self.x.step * self.t.step
-
-    def node_arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.x.nodes(), self.t.nodes()

@@ -16,7 +16,8 @@ interpolation in x.
 
 Characteristic feet come from per-component backward flow tables.  When
 every speed is time-independent the table is a single (levels x nodes)
-array built by composing exact RK4 backsteps, valid for any anchor
+array built by composing one-level RK4 backsteps
+(:func:`roughwave.characteristics.flow_levels`), valid for any anchor
 level; the sweep then vectorizes over anchor levels at fixed feet
 depth.  Time-dependent speeds fall back to one triangle of feet per
 anchor level, which is quadratically bigger and served by a plain
@@ -35,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .characteristics import DeterminacyTrapezoid, determinacy_domain
+from .characteristics import DeterminacyTrapezoid, determinacy_domain, flow_levels
 from .errors import (
     DomainError,
     InvertibilityError,
@@ -54,6 +55,7 @@ from .smooth import (
     ShiftedField1D,
     TransformedField2D,
     is_zero_field,
+    simpson_weights,
 )
 
 GENERAL_PATH_BYTE_CAP = 2 * 10**8
@@ -152,27 +154,6 @@ def _substeps(speed: Field2D, dt: float) -> int:
     return max(1, int(np.ceil(dt / (scale / 16.0))))
 
 
-def _backstep(speed: Field2D, xs: np.ndarray, t_from: float, t_to: float, nsub: int):
-    """RK4 flow of dx/dt = lambda from t_from to t_to (t_to < t_from)."""
-    h = (t_to - t_from) / nsub
-    dom = speed.domain
-    cur = xs
-    for m in range(nsub):
-        t = t_from + m * h
-
-        def f(x, tt):
-            xc = np.clip(x, dom.x.lo, dom.x.hi)
-            tc = min(max(tt, dom.t.lo), dom.t.hi)
-            return speed.values(xc, np.full_like(xc, tc))
-
-        k1 = f(cur, t)
-        k2 = f(cur + 0.5 * h * k1, t + 0.5 * h)
-        k3 = f(cur + 0.5 * h * k2, t + 0.5 * h)
-        k4 = f(cur + h * k3, t + h)
-        cur = cur + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-    return cur
-
-
 class _FeetTables:
     """Backward characteristic feet for every component.
 
@@ -198,7 +179,7 @@ class _FeetTables:
                 tab = np.empty((K + 1, len(x_nodes)))
                 tab[0] = x_nodes
                 for m in range(K):
-                    stepped = _backstep(s, tab[m], t_nodes[1], t_nodes[0], nsub)
+                    stepped = flow_levels(s, tab[m], t_nodes[1], t_nodes[0], nsub)[-1]
                     tab[m + 1] = np.clip(stepped, self.lo, self.hi)
                 self.tables.append(tab)
         else:
@@ -216,9 +197,9 @@ class _FeetTables:
                     feet = np.empty((k + 1, len(x_nodes)))
                     feet[0] = x_nodes
                     for m in range(k):
-                        stepped = _backstep(
+                        stepped = flow_levels(
                             s, feet[m], t_nodes[k - m], t_nodes[k - m - 1], nsub
-                        )
+                        )[-1]
                         feet[m + 1] = np.clip(stepped, self.lo, self.hi)
                     tri.append(feet)
                 self.tables.append(tri)
@@ -794,9 +775,7 @@ def geometric_wave_solve(
         # fixed Simpson lattice in arclength between the feet
         m = 65
         w = np.linspace(0.0, 1.0, m)
-        simp = np.ones(m)
-        simp[1:-1:2] = 4.0
-        simp[2:-1:2] = 2.0
+        simp = simpson_weights(m)
         for idx in range(len(xs)):
             span = s_hi[idx] - s_lo[idx]
             if span <= 0.0:

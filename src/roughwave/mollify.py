@@ -24,7 +24,7 @@ from scipy.special import expit
 
 from .errors import DomainError, ParameterError, ResolutionError, ScaleError
 from .fields import SampledField2D, SampledProcess
-from .smooth import Field1D, Field2D, Interval, Provenance, Rect
+from .smooth import Field1D, Field2D, Interval, Rect
 
 _ALLOWED_MOMENTS = (0, 2, 4, 6)
 _SCALE_MAPS = ("identity", "log", "loglog")
@@ -257,11 +257,6 @@ class EmbeddedField1D(Field1D):
             )
         self.domain = Interval(g.lower + r, g.upper - r)
         self.scale = self.kernel_scale
-        self.provenance = Provenance(
-            eps=self.eps,
-            seed=process.seed,
-            source=f"embed({process.source}, order={base_order}, scale={kernel_scale:g})",
-        )
         self._radius = r
         self._tables: dict[int, np.ndarray] = {}
 
@@ -368,9 +363,6 @@ class EmbeddedField2D(Field2D):
             Interval(g.t.lower + r, g.t.upper - r),
         )
         self.scale = self.kernel_scale
-        self.provenance = Provenance(
-            eps=self.eps, seed=process.seed, source=f"embed2d({process.source})"
-        )
         self._radius = r
 
     def _axis_kernel(self, grid_step: float, order: int):

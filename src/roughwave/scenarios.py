@@ -38,10 +38,11 @@ from .hypsolve import (HyperbolicProblem, geometric_wave_solve,
 from .mollify import EmbeddedField1D, EpsLadder, Mollifier, build_mollifier
 from .seeding import rng_for, subseed
 from .smooth import (AnalyticField1D, ConstantField2D, FromX, Interval,
-                     constant_field_1d)
+                     constant_field_1d, simpson_weights)
 
 __all__ = [
-    "CheckResult", "Table", "ScenarioReport", "write_report",
+    "CheckResult", "Table", "ScenarioReport", "format_value", "write_report",
+    "write_error_report",
     "CalibrationSpec", "OgawaSpec", "AdditiveNoiseSpec", "GeometricSpec",
     "RandomSpeedSpec",
     "run_calibration", "run_ogawa", "run_additive_noise_wave",
@@ -92,10 +93,12 @@ class ScenarioReport:
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        """True when at least one check ran and every check passed."""
+        return bool(self.checks) and all(c.passed for c in self.checks)
 
 
-def _fmt(value) -> str:
+def format_value(value) -> str:
+    """Report text of one value: floats by repr, so CSVs round-trip exactly."""
     if isinstance(value, (float, np.floating)):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -109,7 +112,17 @@ def _write_csv(path: str, columns: Sequence[str], rows: Sequence[Sequence]) -> N
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(columns)
         for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+            writer.writerow([format_value(v) for v in row])
+
+
+def _write_config_echo(outdir: str, config: dict) -> None:
+    _write_csv(os.path.join(outdir, "config_echo.csv"), ["key", "value"],
+               sorted((k, format_value(v)) for k, v in config.items()))
+
+
+def _write_verdicts(outdir: str, lines: Sequence[str]) -> None:
+    with open(os.path.join(outdir, "verdicts.txt"), "w", newline="") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_report(report: ScenarioReport, outdir: str) -> None:
@@ -119,8 +132,7 @@ def write_report(report: ScenarioReport, outdir: str) -> None:
     the elapsed wall-clock time.
     """
     os.makedirs(outdir, exist_ok=True)
-    _write_csv(os.path.join(outdir, "config_echo.csv"), ["key", "value"],
-               sorted((k, _fmt(v)) for k, v in report.config.items()))
+    _write_config_echo(outdir, report.config)
     _write_csv(os.path.join(outdir, "seeds.csv"),
                ["purpose", "count", "first_state"], report.seeds)
     _write_csv(os.path.join(outdir, "ladder.csv"), report.ladder_columns,
@@ -137,11 +149,21 @@ def write_report(report: ScenarioReport, outdir: str) -> None:
              f"elapsed_seconds: {report.elapsed:.3f}"]
     for c in report.checks:
         status = "PASS" if c.passed else "FAIL"
-        lines.append(f"check {c.name}: {status} observed={_fmt(c.observed)} "
-                     f"bound={_fmt(c.bound)}" + (f" ({c.note})" if c.note else ""))
+        lines.append(f"check {c.name}: {status} observed={format_value(c.observed)} "
+                     f"bound={format_value(c.bound)}"
+                     + (f" ({c.note})" if c.note else ""))
     lines.append(f"overall: {'PASS' if report.passed else 'FAIL'}")
-    with open(os.path.join(outdir, "verdicts.txt"), "w", newline="") as fh:
-        fh.write("\n".join(lines) + "\n")
+    _write_verdicts(outdir, lines)
+
+
+def write_error_report(outdir: str, scenario: str, spec, exc: Exception) -> None:
+    """Report directory of a run that raised: config echo and ERROR verdict."""
+    os.makedirs(outdir, exist_ok=True)
+    _write_config_echo(outdir, _echo(spec))
+    _write_verdicts(outdir, [f"scenario: {scenario}",
+                             f"master_seed: {spec.master_seed}",
+                             f"error: {type(exc).__name__}: {exc}",
+                             "overall: ERROR"])
 
 
 def _echo(spec) -> dict:
@@ -154,18 +176,29 @@ def _echo(spec) -> dict:
             out[f.name + ".count"] = v.count
             out[f.name + ".scale_map"] = v.scale_map
         elif isinstance(v, tuple):
-            out[f.name] = ";".join(_fmt(x) for x in v)
+            out[f.name] = ";".join(format_value(x) for x in v)
         else:
             out[f.name] = v
     return out
 
 
-def _interchange_check(pairs) -> CheckResult:
-    worst = 0.0
-    for _, _, lhs, rhs in pairs:
-        worst = max(worst, lhs - rhs)
-    return CheckResult("norm-interchange", worst <= 1e-12, worst, 0.0,
-                       "sup of norms minus norm of sups, worst instance")
+def _interchange(label: str, values: np.ndarray) -> tuple:
+    """Interchange rows at p = 2 and 4 for one sample matrix, and their check."""
+    rows = [(label, p, *norm_interchange(values, p)) for p in (2.0, 4.0)]
+    worst = max(0.0, *(lhs - rhs for _, _, lhs, rhs in rows))
+    return rows, CheckResult("norm-interchange", worst <= 1e-12, worst, 0.0,
+                             "sup of norms minus norm of sups, worst instance")
+
+
+def _mc_z(samples: np.ndarray, ref: float) -> tuple:
+    """Monte Carlo mean of samples, its standard error, and |z| against ref."""
+    est = float(samples.mean())
+    se = float(samples.std(ddof=1)) / math.sqrt(samples.size)
+    return est, se, abs(est - ref) / se
+
+
+def _strictly_decreasing(seq: Sequence) -> bool:
+    return all(seq[k + 1] < seq[k] for k in range(len(seq) - 1))
 
 
 def _pool_map(fn: Callable, args: Sequence, jobs: int) -> list:
@@ -236,15 +269,6 @@ def cone_overlap_area(p: tuple, q: tuple) -> float:
 # smoothing-kernel quadrature helpers
 
 
-def _simpson_weights(n: int) -> np.ndarray:
-    if n < 3 or n % 2 == 0:
-        raise ParameterError("Simpson rule needs an odd node count >= 3")
-    w = np.ones(n)
-    w[1:-1:2] = 4.0
-    w[2:-1:2] = 2.0
-    return w
-
-
 def kernel_cumulative(mol: Mollifier, eps: float,
                       n_per_scale: int = 256) -> tuple:
     """Tabulate z -> integral of the scaled kernel over (-inf, z].
@@ -280,7 +304,7 @@ def pair_quadrature(a: float, b: float, mol: Mollifier, eps: float,
     sb = np.linspace(b - r, b + r, n)
     ka = mol.kernel_values(a - sa, eps, 0)
     kb = mol.kernel_values(b - sb, eps, 0)
-    w = _simpson_weights(n)
+    w = simpson_weights(n)
     psi = pinned_pair_covariance(sa[:, None], sb[None, :])
     hs_a = sa[1] - sa[0]
     hs_b = sb[1] - sb[0]
@@ -308,7 +332,7 @@ def cone_average_tab(mol: Mollifier, point: tuple, eps: float,
         return np.interp(w, zs, cum, left=0.0, right=mass)
 
     n = quad_nodes
-    w_quad = _simpson_weights(n)
+    w_quad = simpson_weights(n)
     theta = np.linspace(0.0, 1.0, n)
     out = np.zeros((ys.size, ss.size))
     a = np.maximum(0.0, ss - r)
@@ -532,9 +556,7 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
     # Monte Carlo spread against the quadrature prediction
     worst_z_sigma = 0.0
     for j, t in enumerate(spec.check_times):
-        m2 = float((disps[:, j] ** 2).mean())
-        se = float((disps[:, j] ** 2).std(ddof=1)) / math.sqrt(n)
-        z = abs(m2 - sigma_rows[j][1]) / se
+        m2, se, z = _mc_z(disps[:, j] ** 2, sigma_rows[j][1])
         worst_z_sigma = max(worst_z_sigma, z)
         sigma_rows[j].extend([m2, se, z])
     checks.append(CheckResult("spread-monte-carlo",
@@ -545,13 +567,13 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
     # sample mean vs smoothed-data-averaged reference at the probes
     sd = math.sqrt(var_s)
     ys = np.linspace(-6.5 * sd, 6.5 * sd, 2049)
-    wq = _simpson_weights(ys.size) * (ys[1] - ys[0]) / 3.0
+    wq = simpson_weights(ys.size) * (ys[1] - ys[0]) / 3.0
     dens = np.exp(-0.5 * (ys / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
     ref = np.array([float((u0_eps.values(x - ys) * dens) @ wq)
                     for x in probes])
     zs_k, cum = kernel_cumulative(mol, eps)
     kern = mol.kernel_values(zs_k, eps, 0)
-    wk = _simpson_weights(zs_k.size) * (zs_k[1] - zs_k[0]) / 3.0
+    wk = simpson_weights(zs_k.size) * (zs_k[1] - zs_k[0]) / 3.0
     c_hat = float((kern * np.cos(zs_k)) @ wk)
     closed = (spec.data_offset * cum[-1]
               + spec.data_amplitude * c_hat * math.exp(-0.5 * var_s)
@@ -564,9 +586,7 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
     mean_rows = []
     worst_z_mean = 0.0
     for j, x in enumerate(probes):
-        mean = float(vals[:, j].mean())
-        se = float(vals[:, j].std(ddof=1)) / math.sqrt(n)
-        z = abs(mean - ref[j]) / se
+        mean, se, z = _mc_z(vals[:, j], ref[j])
         worst_z_mean = max(worst_z_mean, z)
         mean_rows.append((x, mean, ref[j], closed[j], se, z))
     checks.append(CheckResult("mean-vs-reference",
@@ -596,11 +616,8 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
                               heat_gap, spec.heat_gap_bound,
                               "smoothing bias plus Monte Carlo noise"))
 
-    interchange = [("transported-probes", 2.0,
-                    *norm_interchange(vals, 2.0)),
-                   ("transported-probes", 4.0,
-                    *norm_interchange(vals, 4.0))]
-    checks.append(_interchange_check(interchange))
+    interchange, check = _interchange("transported-probes", vals)
+    checks.append(check)
 
     return ScenarioReport(
         scenario="ogawa", master_seed=spec.master_seed, config=_echo(spec),
@@ -694,10 +711,8 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
     moment_rows = []
     worst_z_var = 0.0
     for j, (x, t) in enumerate(points):
-        est = float((vals[:, j] ** 2).mean())
-        se = float((vals[:, j] ** 2).std(ddof=1)) / math.sqrt(n)
         ref = 0.25 * t * t
-        z = abs(est - ref) / se
+        est, se, z = _mc_z(vals[:, j] ** 2, ref)
         worst_z_var = max(worst_z_var, z)
         moment_rows.append(("var", x, t, x, t, est, ref, se, z))
     checks.append(CheckResult("variance-at-points",
@@ -706,10 +721,8 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
 
     worst_z_cov = 0.0
     for (i, j) in spec.overlap_pairs:
-        est = float((vals[:, i] * vals[:, j]).mean())
-        se = float((vals[:, i] * vals[:, j]).std(ddof=1)) / math.sqrt(n)
         ref = 0.25 * cone_overlap_area(points[i], points[j])
-        z = abs(est - ref) / se
+        est, se, z = _mc_z(vals[:, i] * vals[:, j], ref)
         worst_z_cov = max(worst_z_cov, z)
         moment_rows.append(("cov", *points[i], *points[j], est, ref, se, z))
     checks.append(CheckResult("covariance-overlap",
@@ -719,9 +732,7 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
 
     i, j = spec.disjoint_pair
     ref_dis = 0.25 * cone_overlap_area(points[i], points[j])
-    est = float((vals[:, i] * vals[:, j]).mean())
-    se = float((vals[:, i] * vals[:, j]).std(ddof=1)) / math.sqrt(n)
-    z_dis = abs(est - ref_dis) / se
+    est, se, z_dis = _mc_z(vals[:, i] * vals[:, j], ref_dis)
     moment_rows.append(("cov", *points[i], *points[j], est, ref_dis, se, z_dis))
     checks.append(CheckResult("covariance-disjoint", z_dis <= spec.z_bound,
                               z_dis, spec.z_bound, "disjoint cones"))
@@ -743,25 +754,21 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
         m2 = 0.25 * float((diff * diff).sum()) * cell_c
         moments.append(m2)
         cauchy_rows.append((float(levels[k]), float(levels[k + 1]), m2))
-    decreasing = all(moments[k + 1] < moments[k]
-                     for k in range(len(moments) - 1))
-    checks.append(CheckResult("cauchy-decreasing", decreasing,
+    checks.append(CheckResult("cauchy-decreasing",
+                              _strictly_decreasing(moments),
                               float(moments[-1]), float(moments[0]),
                               "successive-difference second moments shrink"))
 
     # Monte Carlo spot check of the finest Cauchy pair on the sample slab
     spot_ref = 0.25 * float((spot_tab * spot_tab).sum()) * cell
-    spot_est = float((spot ** 2).mean())
-    spot_se = float((spot ** 2).std(ddof=1)) / math.sqrt(n)
-    z_spot = abs(spot_est - spot_ref) / spot_se
+    spot_est, spot_se, z_spot = _mc_z(spot ** 2, spot_ref)
     checks.append(CheckResult("cauchy-spot-monte-carlo",
                               z_spot <= spec.z_bound, z_spot, spec.z_bound,
                               f"pair ({spot_hi:g}, {spot_lo:g}) at the "
                               "tracked point"))
 
-    interchange = [("point-values", 2.0, *norm_interchange(vals, 2.0)),
-                   ("point-values", 4.0, *norm_interchange(vals, 4.0))]
-    checks.append(_interchange_check(interchange))
+    interchange, check = _interchange("point-values", vals)
+    checks.append(check)
 
     ladder_rows = [[float(e), 0.25 * float((chain[k] ** 2).sum()) * cell_c]
                    for k, e in enumerate(levels)]
@@ -788,6 +795,9 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
 # geometric wave solutions along mollified curves
 
 
+GEOMETRIC_CURVES = ("flat", "linear", "c1-sine", "brownian")
+
+
 @dataclass(frozen=True)
 class GeometricSpec:
     """Characteristic charts from curve families of increasing roughness.
@@ -798,7 +808,7 @@ class GeometricSpec:
     """
 
     master_seed: int
-    curves: tuple = ("flat", "linear", "c1-sine", "brownian")
+    curves: tuple = GEOMETRIC_CURVES
     eval_time: float = 0.5
     probes: tuple = (-1.0, -0.5, 0.0, 0.5, 1.0)
     closed_form_tol: float = 1e-4
@@ -812,6 +822,12 @@ class GeometricSpec:
     path_index: int = 42
     path_halfwidth: float = 5.0
     brownian_final_bound: float = 0.05
+
+    def __post_init__(self):
+        unknown = [c for c in self.curves if c not in GEOMETRIC_CURVES]
+        if unknown:
+            raise ParameterError(
+                f"unknown curves {unknown}; known: {', '.join(GEOMETRIC_CURVES)}")
 
 
 def _strided_process(path: SampledProcess, eps: float) -> SampledProcess:
@@ -904,8 +920,8 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
         rows = [(float(e), g) for e, g in zip(levels, gaps)]
         tables.append(Table("sine_chart", ["eps", "max_gamma_gap"], rows))
         ladder_rows += [["c1-sine", float(e), g] for e, g in zip(levels, gaps)]
-        mono = all(gaps[k + 1] < gaps[k] for k in range(len(gaps) - 1))
-        checks.append(CheckResult("sine-gamma-decreasing", mono,
+        checks.append(CheckResult("sine-gamma-decreasing",
+                                  _strictly_decreasing(gaps),
                                   gaps[-1], gaps[0],
                                   "forward characteristic vs unsmoothed chart"))
         checks.append(CheckResult("sine-gamma-final",
@@ -945,17 +961,15 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
                              "min_speed"], rows))
         ladder_rows += [["brownian", float(e), gam_gaps[k]]
                         for k, e in enumerate(levels)]
-        mono = all(gam_gaps[k + 1] < gam_gaps[k]
-                   for k in range(len(gam_gaps) - 1))
-        checks.append(CheckResult("brownian-gamma-decreasing", mono,
+        checks.append(CheckResult("brownian-gamma-decreasing",
+                                  _strictly_decreasing(gam_gaps),
                                   gam_gaps[-1], gam_gaps[0],
                                   "max over probes of |gamma - x| per level"))
         checks.append(CheckResult("brownian-gamma-final",
                                   gam_gaps[-1] <= spec.brownian_final_bound,
                                   gam_gaps[-1], spec.brownian_final_bound))
-        mono_u = all(u_gaps[k + 1] < u_gaps[k]
-                     for k in range(len(u_gaps) - 1))
-        checks.append(CheckResult("brownian-solution-limit", mono_u,
+        checks.append(CheckResult("brownian-solution-limit",
+                                  _strictly_decreasing(u_gaps),
                                   u_gaps[-1], u_gaps[0],
                                   "solution vs unmoved data at the probes"))
 
@@ -1110,7 +1124,7 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
     worst_speed = 0.0
     finals = []
     for idx, (gaps, est, sup_speed, fin) in enumerate(results):
-        mono = all(gaps[k + 1] < gaps[k] for k in range(len(gaps) - 1))
+        mono = _strictly_decreasing(gaps)
         n_mono += int(mono)
         ratio = gaps[-1] / est
         worst_ratio = max(worst_ratio, ratio)
@@ -1132,9 +1146,8 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
                               "sampled sup of the unsmoothed speed"))
 
     finals = np.array(finals)
-    interchange = [("final-level-probes", 2.0, *norm_interchange(finals, 2.0)),
-                   ("final-level-probes", 4.0, *norm_interchange(finals, 4.0))]
-    checks.append(_interchange_check(interchange))
+    interchange, check = _interchange("final-level-probes", finals)
+    checks.append(check)
 
     ladder_rows = [[float(e)] for e in levels]
     return ScenarioReport(

@@ -2,10 +2,14 @@
 
 A Field1D maps x to values; a Field2D maps (x, t).  Both carry a safe
 evaluation domain and answer derivative queries up to the order they
-support.  Analytic fields wrap closed-form callables; transformed fields
-apply pointwise functions to parent fields (value queries only); the
-embedded fields produced by :mod:`roughwave.mollify` plug into the same
-interface.
+support.  Analytic fields wrap closed-form callables; callable and
+transformed fields wrap closures and pointwise maps of parent fields
+(value queries only); shifted and lifted fields re-place a Field1D on
+the line or in the plane; the embedded fields produced by
+:mod:`roughwave.mollify` plug into the same interface.
+
+`simpson_weights` is the composite Simpson rule that the fixed-lattice
+quadratures here and in `hypsolve` and `scenarios` share.
 """
 
 from __future__ import annotations
@@ -58,21 +62,11 @@ class Rect:
 FULL_PLANE = Rect(FULL_LINE, FULL_LINE)
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where a smoothed field came from: scale, seed and source tag."""
-
-    eps: float | None = None
-    seed: int | None = None
-    source: str = ""
-
-
 class Field1D:
     """Base: callable field of one variable with derivative queries."""
 
     domain: Interval = FULL_LINE
     scale: float | None = None  # smoothing scale, when meaningful
-    provenance: Provenance | None = None
 
     def values(self, x, order: int = 0) -> np.ndarray:
         raise NotImplementedError
@@ -91,18 +85,25 @@ class Field1D:
 
     def integral(self, a: float, b: float) -> float:
         """Definite integral; dense Simpson fallback."""
-        return _simpson_integral(self, a, b)
+        if a == b:
+            return 0.0
+        step = self.scale / 8.0 if self.scale else abs(b - a) / 256.0
+        n = max(4, 2 * int(np.ceil(abs(b - a) / (2.0 * step))))
+        ys = self.values(np.linspace(a, b, n + 1))
+        return float((b - a) / n / 3.0 * (simpson_weights(n + 1) @ ys))
 
 
-def _simpson_integral(field: Field1D, a: float, b: float) -> float:
-    if a == b:
-        return 0.0
-    step = field.scale / 8.0 if field.scale else abs(b - a) / 256.0
-    n = max(4, 2 * int(np.ceil(abs(b - a) / (2.0 * step))))
-    xs = np.linspace(a, b, n + 1)
-    ys = field.values(xs)
-    h = (b - a) / n
-    return float(h / 3.0 * (ys[0] + ys[-1] + 4.0 * ys[1:-1:2].sum() + 2.0 * ys[2:-1:2].sum()))
+def simpson_weights(n: int) -> np.ndarray:
+    """Composite Simpson weights 1, 4, 2, ..., 4, 1 on n equispaced nodes.
+
+    Multiply by step / 3 for the quadrature weights.
+    """
+    if n < 3 or n % 2 == 0:
+        raise ParameterError("Simpson rule needs an odd node count >= 3")
+    w = np.ones(n)
+    w[1:-1:2] = 4.0
+    w[2:-1:2] = 2.0
+    return w
 
 
 class AnalyticField1D(Field1D):
@@ -140,7 +141,7 @@ class AnalyticField1D(Field1D):
     def integral(self, a: float, b: float) -> float:
         if self._antideriv is not None:
             return float(self._antideriv(b) - self._antideriv(a))
-        return _simpson_integral(self, a, b)
+        return super().integral(a, b)
 
 
 def constant_field_1d(c: float) -> AnalyticField1D:
@@ -150,34 +151,12 @@ def constant_field_1d(c: float) -> AnalyticField1D:
     )
 
 
-class InterpField1D(Field1D):
-    """Piecewise-linear interpolant of a tabulation (order 0 only)."""
-
-    def __init__(self, nodes: np.ndarray, values: np.ndarray, provenance=None):
-        nodes = np.asarray(nodes, dtype=float)
-        vals = np.asarray(values, dtype=float)
-        if nodes.ndim != 1 or nodes.shape != vals.shape:
-            raise ParameterError("nodes and values must be matching 1d arrays")
-        self._nodes = nodes
-        self._values = vals
-        self.domain = Interval(float(nodes[0]), float(nodes[-1]))
-        self.provenance = provenance
-
-    def values(self, x, order: int = 0) -> np.ndarray:
-        if order != 0:
-            raise ParameterError("interpolated field supports order 0 only")
-        x = np.asarray(x, dtype=float)
-        self.check_domain(x)
-        return np.interp(x, self._nodes, self._values)
-
-
 class CallableField1D(Field1D):
     """Arbitrary fn(x), value queries only.
 
-    For closures over other fields (say, combining several embedded
-    fields and their derivatives) where the values-of-parents plumbing
-    of TransformedField1D is too narrow.  Domain and scale are the
-    caller's responsibility.
+    For closures over other fields, say combining several embedded
+    fields and their derivatives.  Domain and scale are the caller's
+    responsibility.
     """
 
     def __init__(self, fn, domain: Interval = FULL_LINE, scale: float | None = None):
@@ -201,7 +180,6 @@ class ShiftedField1D(Field1D):
         self.shift = float(shift)
         self.domain = Interval(parent.domain.lo + shift, parent.domain.hi + shift)
         self.scale = parent.scale
-        self.provenance = parent.provenance
 
     def values(self, x, order: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -211,36 +189,12 @@ class ShiftedField1D(Field1D):
         return self._parent.integral(a - self.shift, b - self.shift)
 
 
-class TransformedField1D(Field1D):
-    """fn applied pointwise to parent field values (order 0 only)."""
-
-    def __init__(self, fn: Callable[..., np.ndarray], *parents: Field1D):
-        if not parents:
-            raise ParameterError("need at least one parent field")
-        self._fn = fn
-        self._parents = parents
-        dom = parents[0].domain
-        for p in parents[1:]:
-            dom = dom.intersect(p.domain)
-        self.domain = dom
-        scales = [p.scale for p in parents if p.scale is not None]
-        self.scale = min(scales) if scales else None
-
-    def values(self, x, order: int = 0) -> np.ndarray:
-        if order != 0:
-            raise ParameterError("transformed field supports order 0 only")
-        x = np.asarray(x, dtype=float)
-        vals = [p.values(x) for p in self._parents]
-        return np.asarray(self._fn(*vals), dtype=float)
-
-
 class Field2D:
     """Base: field of (x, t) with partial-derivative queries."""
 
     domain: Rect = FULL_PLANE
     t_independent: bool = False
     scale: float | None = None
-    provenance: Provenance | None = None
 
     def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
         raise NotImplementedError
@@ -251,9 +205,6 @@ class Field2D:
     def check_domain(self, x, t):
         if not self.domain.contains(x, t):
             raise DomainError("evaluation outside the field's safe rectangle")
-
-    def at_time(self, t0: float) -> "SliceField1D":
-        return SliceField1D(self, t0)
 
 
 class ConstantField2D(Field2D):
@@ -312,7 +263,6 @@ class FromX(Field2D):
         self.domain = Rect(f.domain, FULL_LINE)
         self.t_independent = True
         self.scale = f.scale
-        self.provenance = f.provenance
 
     def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
@@ -320,24 +270,6 @@ class FromX(Field2D):
         if dt > 0:
             return np.zeros(shape)
         out = self._f.values(x, dx)
-        return np.broadcast_to(out, shape).copy()
-
-
-class FromT(Field2D):
-    """Lift a Field1D of t into the plane (constant in x)."""
-
-    def __init__(self, f: Field1D):
-        self._f = f
-        self.domain = Rect(FULL_LINE, f.domain)
-        self.scale = f.scale
-        self.provenance = f.provenance
-
-    def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        shape = np.broadcast_shapes(np.asarray(x).shape, t.shape)
-        if dx > 0:
-            return np.zeros(shape)
-        out = self._f.values(t, dt)
         return np.broadcast_to(out, shape).copy()
 
 
@@ -385,34 +317,3 @@ class TransformedField2D(Field2D):
             raise ParameterError("transformed field supports value queries only")
         vals = [p.values(x, t) for p in self._parents]
         return np.asarray(self._fn(*vals), dtype=float)
-
-
-class DerivView2D(Field2D):
-    """View of a parent field with a fixed derivative offset."""
-
-    def __init__(self, parent: Field2D, dx: int = 0, dt: int = 0):
-        self._parent = parent
-        self._dx = dx
-        self._dt = dt
-        self.domain = parent.domain
-        self.t_independent = parent.t_independent
-        self.scale = parent.scale
-        self.provenance = parent.provenance
-
-    def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
-        return self._parent.values(x, t, dx + self._dx, dt + self._dt)
-
-
-class SliceField1D(Field1D):
-    """Restriction of a Field2D to a fixed time."""
-
-    def __init__(self, parent: Field2D, t0: float):
-        self._parent = parent
-        self._t0 = float(t0)
-        self.domain = parent.domain.x
-        self.scale = parent.scale
-        self.provenance = parent.provenance
-
-    def values(self, x, order: int = 0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        return self._parent.values(x, np.full(x.shape, self._t0), dx=order)

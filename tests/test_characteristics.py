@@ -5,6 +5,7 @@ from roughwave.characteristics import (
     ArclengthChart,
     DeterminacyTrapezoid,
     determinacy_domain,
+    flow_levels,
     flow_map,
     integrate_characteristic,
     picard_characteristic_oracle,
@@ -88,6 +89,26 @@ def test_domain_escape_reports_exit_time():
         integrate_characteristic(c, x0=0.95, t0=0.0, t1=0.5, n_steps=500)
     assert err.value.exit_time is not None
     assert 0.0 < err.value.exit_time < 0.2
+
+
+def test_flow_levels_freezes_escaping_walker():
+    # unit speed on [-1, 1]: the walker from 0.4 would reach 1.15 on the
+    # third step, so it stays at its last interior position 0.9
+    c = ConstantField2D(1.0, domain=Rect(Interval(-1.0, 1.0), Interval(-5.0, 5.0)))
+    levels = flow_levels(c, np.array([0.4, -0.9]), 0.0, 1.0, 4)
+    assert levels.shape == (5, 2)
+    assert np.allclose(levels[:, 0], [0.4, 0.65, 0.9, 0.9, 0.9], atol=1e-12)
+    assert np.allclose(levels[:, 1], [-0.9, -0.65, -0.4, -0.15, 0.1], atol=1e-12)
+
+
+def test_flow_levels_endpoint_matches_flow_map():
+    # backward in time, as the solver's feet tables march
+    c = analytic_speed()
+    xs = np.linspace(-1.0, 1.0, 9)
+    levels = flow_levels(c, xs, 1.2, 0.0, 50)
+    assert levels.shape == (51, 9)
+    np.testing.assert_array_equal(levels[0], xs)
+    np.testing.assert_array_equal(levels[-1], flow_map(c, xs, 1.2, 0.0, n_steps=50))
 
 
 def test_picard_detects_escape():

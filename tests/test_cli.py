@@ -5,7 +5,7 @@ import yaml
 
 from roughwave.cli import RunConfig, main, parse_config
 from roughwave.errors import ConfigError
-from roughwave.scenarios import SCENARIOS
+from roughwave.scenarios import SCENARIOS, CalibrationSpec
 
 from conftest import MASTER_SEED
 
@@ -100,6 +100,28 @@ def test_parse_type_coercion():
         parse_config(bad)
 
 
+@pytest.mark.parametrize("scenario, key, value, path", [
+    ("ogawa", "probes", ["a"], r"ogawa.probes\[0\]"),
+    ("ogawa", "check_times", [0.5, None], r"ogawa.check_times\[1\]"),
+    ("additive-noise-wave", "points", [[0.0, 1.0], [0.5, "x"]],
+     r"points\[1\]\[1\]"),
+    ("additive-noise-wave", "points", [0.0, 1.0], r"points\[0\]"),
+    ("additive-noise-wave", "overlap_pairs", [[0, 1.5]],
+     r"overlap_pairs\[0\]\[1\]"),
+    ("geometric-wave", "curves", ["flat", 3], r"curves\[1\]"),
+])
+def test_parse_tuple_elements_typed_by_default(scenario, key, value, path):
+    data = {"scenario": scenario, "master_seed": 7, scenario: {key: value}}
+    with pytest.raises(ConfigError, match=path):
+        parse_config(data)
+
+
+def test_parse_tuple_elements_accept_integer_numbers():
+    rc = parse_config({"scenario": "ogawa", "master_seed": 7,
+                       "ogawa": {"probes": [0, 1]}})
+    assert rc.spec.probes == (0, 1)
+
+
 def test_parse_master_seed_not_allowed_in_section():
     data = {"scenario": "ogawa", "master_seed": 7,
             "ogawa": {"master_seed": 8}}
@@ -140,6 +162,16 @@ def test_cli_config_error_exit_code(capsys, tmp_path):
                         "ogawa": {"epsilonn": 0.01}})
     assert main([cfg]) == 2
     assert "ogawa.epsilonn" in capsys.readouterr().err
+
+
+def test_cli_unknown_curve_is_config_error(capsys, tmp_path):
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": "geometric-wave", "master_seed": 1,
+                        "geometric-wave": {"curves": ["flta"]}})
+    outdir = tmp_path / "out"
+    assert main([cfg, "--output-dir", str(outdir)]) == 2
+    assert "flta" in capsys.readouterr().err
+    assert not outdir.exists()
 
 
 def test_cli_bad_jobs(capsys, tmp_path):
@@ -192,6 +224,22 @@ def test_cli_empty_domain_recorded(capsys, tmp_path):
     assert "overall: ERROR" in verdicts
     assert (outdir / "config_echo.csv").exists()
     assert (outdir / "config.yaml").exists()
+
+
+def test_cli_unexpected_runtime_error_recorded(capsys, tmp_path, monkeypatch):
+    def boom(spec, jobs=1):
+        raise ValueError("not a package error")
+
+    monkeypatch.setitem(SCENARIOS, "calibration", (CalibrationSpec, boom))
+    cfg = write_config(tmp_path / "run.yaml",
+                       {"scenario": "calibration", "master_seed": 1})
+    outdir = tmp_path / "out"
+    assert main([cfg, "--output-dir", str(outdir)]) == 3
+    assert "ValueError: not a package error" in capsys.readouterr().err
+    verdicts = (outdir / "verdicts.txt").read_text()
+    assert "error: ValueError: not a package error" in verdicts
+    assert verdicts.strip().endswith("overall: ERROR")
+    assert "master_seed,1" in (outdir / "config_echo.csv").read_text()
 
 
 def test_cli_seed_flag_overrides(tmp_path, capsys):

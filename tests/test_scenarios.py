@@ -8,6 +8,7 @@ from roughwave.errors import EmptyDomainError, ParameterError
 from roughwave.mollify import build_mollifier
 from roughwave.scenarios import (
     AdditiveNoiseSpec,
+    GeometricSpec,
     OgawaSpec,
     RandomSpeedSpec,
     clip_convex,
@@ -18,6 +19,7 @@ from roughwave.scenarios import (
     pair_quadrature,
     pinned_pair_covariance,
     polygon_area,
+    run_geometric_wave,
     run_ogawa,
     run_random_speed_wave,
     write_report,
@@ -270,6 +272,20 @@ def test_additive_ladder_moment_approaches_variance(additive_report):
 
 def test_geometric_report_passes(geometric_report):
     assert geometric_report.passed
+
+
+def test_geometric_rejects_unknown_curve():
+    with pytest.raises(ParameterError, match="flta"):
+        GeometricSpec(master_seed=1, curves=("flat", "flta"))
+
+
+def test_run_without_checks_fails(tmp_path):
+    rep = run_geometric_wave(GeometricSpec(master_seed=MASTER_SEED, curves=()))
+    assert rep.checks == []
+    assert not rep.passed
+    write_report(rep, str(tmp_path))
+    verdicts = (tmp_path / "verdicts.txt").read_text()
+    assert verdicts.strip().endswith("overall: FAIL")
 
 
 def test_geometric_closed_forms(geometric_report):
