@@ -63,6 +63,7 @@ def _build_ladder(value, path: str) -> EpsLadder:
 def _coerce(value, declared: str, path: str, default=None):
     # spec dataclasses use postponed annotations, so field types arrive
     # as strings; tuple elements take their type from the field's default
+    # and are converted like scalars, so 1 and 1.0 build the same spec
     if declared == "int":
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"'{path}' must be an integer, got {value!r}")
@@ -80,8 +81,9 @@ def _coerce(value, declared: str, path: str, default=None):
             raise ConfigError(f"'{path}' must be a list, got {value!r}")
         value = _deep_tuple(value)
         if isinstance(default, tuple) and default:
-            for k, v in enumerate(value):
+            value = tuple(
                 _coerce(v, type(default[0]).__name__, f"{path}[{k}]", default[0])
+                for k, v in enumerate(value))
         return value
     if declared == "EpsLadder":
         return _build_ladder(value, path)

@@ -10,6 +10,17 @@ Gaussian-tail discrepancy.
 
 Derivatives of the smoothed field convolve with the derivative of the
 kernel, so differentiation and smoothing commute by construction.
+
+Kernel evaluation forms the Leibniz sum of cutoff and Gaussian terms only
+on the transition band cutoff_inner < |z| < cutoff_outer.  On the plateau
+|z| <= cutoff_inner the cutoff is exactly 1 and its derivatives exactly 0,
+so the value there is the order-k Gaussian term alone, and beyond
+cutoff_outer it is exactly 0.  A call whose points all lie on the plateau
+skips the cutoff entirely; a smoothing window at scale s does once
+trunc_radius * s, plus the few path steps the window adds, is at most
+cutoff_inner.  Each kept term is computed with the same floating-point
+operations, in the same order, as the full sum, so the values equal it
+bit for bit.
 """
 
 from __future__ import annotations
@@ -30,6 +41,35 @@ _ALLOWED_MOMENTS = (0, 2, 4, 6)
 _SCALE_MAPS = ("identity", "log", "loglog")
 
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
+
+# Window entries per chunk in EmbeddedField1D.values: each temporary of a
+# chunk (indices, offsets, weights, gathered path values) stays at 8 MiB.
+_CHUNK_ENTRIES = 1 << 20
+
+
+@lru_cache(maxsize=64)
+def _poly_coeffs(coeffs: tuple, order: int) -> tuple:
+    """Coefficients of P_k, where rho^(k) = P_k * gaussian and P_0 = P.
+
+    Uses P_{k+1} = P_k' - z P_k.  Keyed on the coefficient tuple, so the
+    cache holds no Mollifier.
+    """
+    if order == 0:
+        return coeffs
+    prev = Polynomial(_poly_coeffs(coeffs, order - 1))
+    return tuple((prev.deriv() - Polynomial([0.0, 1.0]) * prev).coef)
+
+
+def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
+    # the operations of numpy's polyval with the identity domain map
+    if len(coeffs) == 1:
+        return np.full(x.shape, coeffs[0])
+    acc = coeffs[-1] * x
+    acc += coeffs[-2]
+    for c in coeffs[-3::-1]:
+        acc *= x
+        acc += c
+    return acc
 
 
 def _double_factorial_even_moments(n: int) -> np.ndarray:
@@ -64,18 +104,10 @@ class Mollifier:
 
     # -- raw kernel ---------------------------------------------------
 
-    @lru_cache(maxsize=16)
-    def _poly(self, order: int) -> Polynomial:
-        # rho^(k) = P_k * gaussian with P_{k+1} = P_k' - z P_k.
-        if order == 0:
-            return Polynomial(self.poly_coeffs)
-        prev = self._poly(order - 1)
-        return prev.deriv() - Polynomial([0.0, 1.0]) * prev
-
     def rho(self, z, order: int = 0) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         gauss = _GAUSS_NORM * np.exp(-0.5 * z * z)
-        return self._poly(order)(z) * gauss
+        return _horner(_poly_coeffs(self.poly_coeffs, order), z) * gauss
 
     # -- cutoff --------------------------------------------------------
 
@@ -84,32 +116,34 @@ class Mollifier:
         if order not in (0, 1, 2):
             raise ParameterError("cutoff derivatives available for orders 0..2")
         z = np.asarray(z, dtype=float)
-        a, b = self.cutoff_inner, self.cutoff_outer
         az = np.abs(z)
-        inside = az <= a
-        outside = az >= b
+        inside = az <= self.cutoff_inner
+        outside = az >= self.cutoff_outer
         mid = ~(inside | outside)
         out = np.zeros(z.shape)
         if order == 0:
             out[inside] = 1.0
         if np.any(mid):
-            u = (az[mid] - a) / (b - a)
-            u = np.clip(u, 1e-9, 1.0 - 1e-9)
-            # chi = expit(g(u)), g = 1/u - 1/(1-u); equals the classic
-            # exp(-1/x) smooth step and is exactly 1/0 at the endpoints.
-            g = 1.0 / u - 1.0 / (1.0 - u)
-            sig = expit(g)
-            if order == 0:
-                out[mid] = sig
-            else:
-                gp = -1.0 / u**2 - 1.0 / (1.0 - u) ** 2
-                mass = sig * (1.0 - sig)
-                if order == 1:
-                    val = mass * gp / (b - a)
-                    out[mid] = val * np.sign(z[mid])
-                else:
-                    gpp = 2.0 / u**3 - 2.0 / (1.0 - u) ** 3
-                    out[mid] = mass * ((1.0 - 2.0 * sig) * gp**2 + gpp) / (b - a) ** 2
+            out[mid] = self._cutoff_band(z[mid], order)[order]
+        return out
+
+    def _cutoff_band(self, z: np.ndarray, order: int) -> list:
+        """[chi(z), ..., chi^(order)(z)] for points with a < |z| < b."""
+        a, b = self.cutoff_inner, self.cutoff_outer
+        u = (np.abs(z) - a) / (b - a)
+        u = np.clip(u, 1e-9, 1.0 - 1e-9)
+        # chi = expit(g(u)), g = 1/u - 1/(1-u); equals the classic
+        # exp(-1/x) smooth step and is exactly 1/0 at the endpoints.
+        g = 1.0 / u - 1.0 / (1.0 - u)
+        sig = expit(g)
+        out = [sig]
+        if order >= 1:
+            gp = -1.0 / u**2 - 1.0 / (1.0 - u) ** 2
+            mass = sig * (1.0 - sig)
+            out.append(mass * gp / (b - a) * np.sign(z))
+        if order >= 2:
+            gpp = 2.0 / u**3 - 2.0 / (1.0 - u) ** 3
+            out.append(mass * ((1.0 - 2.0 * sig) * gp**2 + gpp) / (b - a) ** 2)
         return out
 
     # -- scaled, cut-off kernel ----------------------------------------
@@ -121,19 +155,48 @@ class Mollifier:
     def kernel_values(self, z, scale: float, order: int = 0) -> np.ndarray:
         """d^order/dz^order of chi(z) * rho(z / scale) / scale."""
         z = np.asarray(z, dtype=float)
-        if order <= 2:
-            out = np.zeros(z.shape)
-            for j in range(order + 1):
-                comb = 1.0 if j == 0 else (order if j == 1 else 1.0)
-                rho_term = self.rho(z / scale, order - j) / scale ** (order - j + 1)
-                out += comb * self.cutoff(z, j) * rho_term
-            return out
         # Higher orders only when the cutoff plateau covers the support.
-        if self.trunc_radius * scale > self.cutoff_inner:
+        if order > 2 and self.trunc_radius * scale > self.cutoff_inner:
             raise ParameterError(
                 f"kernel derivative order {order} needs trunc_radius*scale <= cutoff_inner"
             )
-        return self.cutoff(z) * self.rho(z / scale, order) / scale ** (order + 1)
+        shape = z.shape
+        z = z.reshape(-1)
+        u = z / scale
+        gauss = -0.5 * u
+        gauss *= u
+        np.exp(gauss, out=gauss)
+        gauss *= _GAUSS_NORM
+
+        def rho_k(k, sub=Ellipsis):
+            # rho^(k)(z / scale) on the entries sub
+            r = _horner(_poly_coeffs(self.poly_coeffs, k), u[sub])
+            r *= gauss[sub]
+            return r
+
+        def term(k, sub=Ellipsis):
+            r = rho_k(k, sub)
+            r /= scale ** (k + 1)
+            return r
+
+        out = term(order)
+        a, b = self.cutoff_inner, self.cutoff_outer
+        if z.size and (z.min() < -a or z.max() > a):
+            az = np.abs(z)
+            out[az >= b] = 0.0
+            band = np.flatnonzero((az > a) & (az < b))
+            chi = self._cutoff_band(z[band], min(order, 2))
+            if order > 2:
+                # (chi * rho^(k)) / scale**(k + 1), in that order
+                out[band] = chi[0] * rho_k(order, band) / scale ** (order + 1)
+            else:
+                # Leibniz sum with binomial weights 1, order, 1
+                val = chi[0] * out[band]
+                for j in range(1, order + 1):
+                    comb = order if j == 1 else 1.0
+                    val += comb * chi[j] * term(order - j, band)
+                out[band] = val
+        return out.reshape(shape)
 
 
 def build_mollifier(
@@ -282,7 +345,7 @@ class EmbeddedField1D(Field1D):
         hw = self._window()
         width = 2 * hw + 1
         out = np.empty(flat.shape)
-        max_chunk = max(1, int(5e7) // width)
+        max_chunk = max(1, _CHUNK_ENTRIES // width)
         for lo in range(0, flat.size, max_chunk):
             xs = flat[lo : lo + max_chunk]
             j0 = np.floor((xs - g.lower) / g.step).astype(np.int64) - hw

@@ -661,6 +661,30 @@ class AdditiveNoiseSpec:
         default_factory=lambda: EpsLadder(0.16, 0.5, 5))
     cauchy_point: tuple = (0.0, 1.0)
 
+    def __post_init__(self):
+        n = len(self.points)
+        for x_t in self.points:
+            if len(x_t) != 2 or not x_t[1] > 0.0:
+                raise ParameterError(f"point {x_t} must be a pair (x, t) with t > 0")
+        if not self.overlap_pairs:
+            raise ParameterError("overlap_pairs is empty: the covariance check "
+                                 "would test no pair")
+        for pair in (*self.overlap_pairs, self.disjoint_pair):
+            if len(pair) != 2 or not all(isinstance(k, int) and 0 <= k < n
+                                         for k in pair):
+                raise ParameterError(
+                    f"pair {pair} must be two indices into points (0..{n - 1})")
+        for i, j in self.overlap_pairs:
+            if cone_overlap_area(self.points[i], self.points[j]) <= 0.0:
+                raise ParameterError(
+                    f"overlap pair ({i}, {j}): the cones of {self.points[i]} "
+                    f"and {self.points[j]} do not overlap")
+        i, j = self.disjoint_pair
+        if cone_overlap_area(self.points[i], self.points[j]) != 0.0:
+            raise ParameterError(
+                f"disjoint pair ({i}, {j}): the cones of {self.points[i]} "
+                f"and {self.points[j]} overlap")
+
 
 def _cauchy_cell(spec: AdditiveNoiseSpec) -> float:
     return spec.cell_factor * spec.cauchy_ladder.levels()[-1]

@@ -88,11 +88,13 @@ def test_parse_type_coercion():
     data = {"scenario": "additive-noise-wave", "master_seed": 7,
             "additive-noise-wave": {
                 "n_samples": 100,
-                "points": [[0.0, 1.0], [0.5, 1.0]],
+                "points": [[0.0, 1.0], [0.5, 1.0], [2.5, 1.0]],
+                "overlap_pairs": [[0, 1]],
+                "disjoint_pair": [0, 2],
                 "eps": 0.02}}
     rc = parse_config(data)
     assert rc.spec.n_samples == 100
-    assert rc.spec.points == ((0.0, 1.0), (0.5, 1.0))
+    assert rc.spec.points == ((0.0, 1.0), (0.5, 1.0), (2.5, 1.0))
     assert rc.spec.eps == 0.02
     bad = {"scenario": "ogawa", "master_seed": 7,
            "ogawa": {"n_samples": "many"}}
@@ -120,6 +122,21 @@ def test_parse_tuple_elements_accept_integer_numbers():
     rc = parse_config({"scenario": "ogawa", "master_seed": 7,
                        "ogawa": {"probes": [0, 1]}})
     assert rc.spec.probes == (0, 1)
+
+
+def test_integer_literals_in_tuple_fields_write_same_report(tmp_path):
+    outputs = []
+    for k, times in enumerate(([1, 0.5], [1.0, 0.5])):
+        data = {"scenario": "ogawa", "master_seed": 7,
+                "ogawa": {"n_samples": 50, "check_times": times}}
+        outputs.append(tmp_path / f"out{k}")
+        assert main([write_config(tmp_path / f"c{k}.yaml", data),
+                     "--output-dir", str(outputs[-1]), "--verbosity", "0"]) in (0, 1)
+        assert parse_config(data).spec.check_times == (1.0, 0.5)
+    for name in ("config_echo.csv", "spread.csv"):
+        first, second = ((out / name).read_bytes() for out in outputs)
+        assert first == second, name
+    assert b"check_times,1.0;0.5" in (outputs[0] / "config_echo.csv").read_bytes()
 
 
 def test_parse_master_seed_not_allowed_in_section():
@@ -162,6 +179,14 @@ def test_cli_config_error_exit_code(capsys, tmp_path):
                         "ogawa": {"epsilonn": 0.01}})
     assert main([cfg]) == 2
     assert "ogawa.epsilonn" in capsys.readouterr().err
+
+
+def test_cli_overlapping_disjoint_pair_is_config_error(capsys, tmp_path):
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": "additive-noise-wave", "master_seed": 1,
+                        "additive-noise-wave": {"disjoint_pair": [0, 0]}})
+    assert main([cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    assert "disjoint pair" in capsys.readouterr().err
 
 
 def test_cli_unknown_curve_is_config_error(capsys, tmp_path):

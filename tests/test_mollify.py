@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from numpy.polynomial import Polynomial
+from scipy.special import expit
 
 from roughwave.errors import (
     DomainError,
@@ -9,8 +11,10 @@ from roughwave.errors import (
 )
 from roughwave.fields import SampledField2D, SampledProcess, sample_brownian_1d
 from roughwave.grids import Grid1D, Grid2D
+from roughwave import mollify
 from roughwave.mollify import (
     EpsLadder,
+    Mollifier,
     build_mollifier,
     embed_derivative,
     embed_path,
@@ -83,6 +87,75 @@ def test_kernel_derivatives_match_finite_differences(order):
     ) / (2 * h)
     scale = np.max(np.abs(got)) + 1.0
     assert np.allclose(got, fd, atol=1e-5 * scale)
+
+
+def _reference_cutoff(mol, z, order):
+    a, b = mol.cutoff_inner, mol.cutoff_outer
+    az = np.abs(z)
+    inside = az <= a
+    mid = ~(inside | (az >= b))
+    out = np.zeros(z.shape)
+    if order == 0:
+        out[inside] = 1.0
+    if np.any(mid):
+        u = np.clip((az[mid] - a) / (b - a), 1e-9, 1.0 - 1e-9)
+        sig = expit(1.0 / u - 1.0 / (1.0 - u))
+        gp = -1.0 / u**2 - 1.0 / (1.0 - u) ** 2
+        mass = sig * (1.0 - sig)
+        if order == 0:
+            out[mid] = sig
+        elif order == 1:
+            out[mid] = mass * gp / (b - a) * np.sign(z[mid])
+        else:
+            gpp = 2.0 / u**3 - 2.0 / (1.0 - u) ** 3
+            out[mid] = mass * ((1.0 - 2.0 * sig) * gp**2 + gpp) / (b - a) ** 2
+    return out
+
+
+def _reference_kernel(mol, z, scale, order):
+    """The full cutoff product with numpy Polynomial evaluation."""
+    def rho(u, k):
+        p = Polynomial(mol.poly_coeffs)
+        for _ in range(k):
+            p = p.deriv() - Polynomial([0.0, 1.0]) * p
+        return p(u) * (1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * u * u))
+
+    if order > 2:
+        return _reference_cutoff(mol, z, 0) * rho(z / scale, order) / scale ** (order + 1)
+    out = np.zeros(z.shape)
+    for j in range(order + 1):
+        comb = 1.0 if j == 0 else (order if j == 1 else 1.0)
+        rho_term = rho(z / scale, order - j) / scale ** (order - j + 1)
+        out += comb * _reference_cutoff(mol, z, j) * rho_term
+    return out
+
+
+@pytest.mark.parametrize("m", [0, 2, 4, 6])
+@pytest.mark.parametrize("order", [0, 1, 2])
+# windows inside the plateau, straddling it, and reaching past cutoff_outer
+@pytest.mark.parametrize("scale", [0.03, 0.1, 0.2, 0.32])
+def test_kernel_values_bitwise_equal_full_cutoff_product(m, order, scale):
+    mol = build_mollifier(moments=m)
+    a, b = mol.cutoff_inner, mol.cutoff_outer
+    step = scale / 8.0
+    hw = int(np.ceil(mol.support_radius(scale) / step)) + 1
+    shifts = np.random.default_rng(m + 10 * order).uniform(0.0, step, 5)
+    window = shifts[:, None] - (np.arange(2 * hw + 1) - hw)[None, :] * step
+    edges = np.array([-b - step, -b, -a, -0.5 * (a + b), 0.0, a, np.nextafter(a, b), b])
+    for z in (window, edges, np.array([-a, 0.0, a]), np.array(0.5 * a)):
+        got = mol.kernel_values(z, scale, order)
+        assert got.shape == z.shape
+        assert np.array_equal(got, _reference_kernel(mol, z, scale, order))
+
+
+@pytest.mark.parametrize("order", [3, 4])
+def test_kernel_values_high_order_bitwise_equal(order):
+    mol = build_mollifier(moments=2)
+    scale = 0.1  # trunc_radius * scale <= cutoff_inner
+    z = np.concatenate([np.linspace(-0.9, 0.9, 37), [-1.5, 1.0, 1.2, 2.0, 2.5]])
+    for zz in (z[:37], z):
+        assert np.array_equal(mol.kernel_values(zz, scale, order),
+                              _reference_kernel(mol, zz, scale, order))
 
 
 def test_kernel_quadrature_mass_unit():
@@ -220,6 +293,29 @@ def test_table_matches_pointwise_values_odd_kernel():
     tab = f.table()[sl]
     direct = f.values(nodes)
     assert np.max(np.abs(tab - direct)) <= 1e-10 * (1 + np.max(np.abs(direct)))
+
+
+def test_values_chunks_split_rows_only(monkeypatch):
+    eps = 0.05
+    mol = build_mollifier(moments=2)
+    grid = Grid1D.from_bounds(-1.0, 2.0, int(round(3.0 / (eps / 8))) + 1)
+    f = embed_derivative(sample_brownian_1d(grid, seed=11), mol, eps, order=1)
+    width = 2 * f._window() + 1
+    rows = mollify._CHUNK_ENTRIES // width
+    xs = np.random.default_rng(4).uniform(0.0, 1.0, 3 * rows + 17)
+    sizes = []
+    inner = Mollifier.kernel_values
+
+    def counting(self, z, scale, order=0):
+        sizes.append(np.size(z))
+        return inner(self, z, scale, order)
+
+    monkeypatch.setattr(Mollifier, "kernel_values", counting)
+    whole = f.values(xs)
+    assert len(sizes) == 4 and max(sizes) <= mollify._CHUNK_ENTRIES
+    pieces = np.concatenate([f.values(xs[lo:lo + 1000])
+                             for lo in range(0, xs.size, 1000)])
+    assert np.array_equal(whole, pieces)
 
 
 def test_embedded_brownian_converges_to_path():

@@ -279,6 +279,21 @@ def test_geometric_rejects_unknown_curve():
         GeometricSpec(master_seed=1, curves=("flat", "flta"))
 
 
+@pytest.mark.parametrize("overrides, message", [
+    ({"overlap_pairs": ()}, "overlap_pairs is empty"),
+    ({"overlap_pairs": ((0, 5),)}, "two indices into points"),
+    ({"disjoint_pair": (-1, 4)}, "two indices into points"),
+    ({"overlap_pairs": ((0, 1), (0, 4))}, "do not overlap"),
+    ({"disjoint_pair": (0, 0)}, "overlap"),
+    ({"points": ((0.0, 1.0), (0.5, 0.0), (2.5, 1.0)),
+      "overlap_pairs": ((0, 1),), "disjoint_pair": (0, 2)}, "t > 0"),
+], ids=["empty-overlap", "overlap-index", "disjoint-index",
+        "overlap-zero-area", "disjoint-overlapping", "point-t"])
+def test_additive_spec_rejects_meaningless_pairs(overrides, message):
+    with pytest.raises(ParameterError, match=message):
+        AdditiveNoiseSpec(master_seed=1, **overrides)
+
+
 def test_run_without_checks_fails(tmp_path):
     rep = run_geometric_wave(GeometricSpec(master_seed=MASTER_SEED, curves=()))
     assert rep.checks == []
