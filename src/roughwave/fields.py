@@ -237,16 +237,13 @@ def white_noise_field(grid: Grid2D, seed: int) -> WhiteNoiseField:
 def white_noise_action(
     noise: WhiteNoiseField,
     phi: Union[np.ndarray, Callable[[np.ndarray, np.ndarray], np.ndarray]],
-) -> Union[float, np.ndarray]:
+) -> float:
     """Pairing <noise, phi> = sum over cells of phi(cell center) * increment.
 
     phi is either a callable evaluated on the cell-center meshgrid or an
     array already tabulated at cell centers (shape (nx-1, nt-1)).  In law
     the pairing is Gaussian with variance ~ integral of phi^2; pairings
     with disjointly supported test functions are independent.
-
-    A stack of k tabulations (shape (k, nx-1, nt-1)) gives the k pairings
-    as an array, from one matrix-vector product over the cells.
     """
     if callable(phi):
         cx = noise.grid.x.cell_centers()
@@ -255,12 +252,10 @@ def white_noise_action(
         tab = np.broadcast_to(tab, noise.increments.shape)
     else:
         tab = np.asarray(phi, dtype=float)
-        if tab.ndim not in (2, 3) or tab.shape[-2:] != noise.increments.shape:
+        if tab.shape != noise.increments.shape:
             raise ShapeMismatchError(
                 f"phi tabulation {tab.shape} does not match cells {noise.increments.shape}"
             )
-    if tab.ndim == 3:
-        return tab.reshape(tab.shape[0], -1) @ noise.increments.ravel()
     return float(np.sum(tab * noise.increments))
 
 

@@ -16,9 +16,9 @@ on the transition band cutoff_inner < |z| < cutoff_outer.  On the plateau
 |z| <= cutoff_inner the cutoff is exactly 1 and its derivatives exactly 0,
 so the value there is the order-k Gaussian term alone, and beyond
 cutoff_outer it is exactly 0.  A call whose points all lie on the plateau
-skips the cutoff entirely; a smoothing window at scale s does once
-trunc_radius * s, plus the few path steps the window adds, is at most
-cutoff_inner.  Each kept term is computed with the same floating-point
+skips the cutoff entirely.  A smoothing window at scale s skips the
+cutoff once trunc_radius * s, plus the few path steps the window adds,
+is at most cutoff_inner.  Each kept term is computed with the same floating-point
 operations, in the same order, as the full sum, so the values equal it
 bit for bit.
 """

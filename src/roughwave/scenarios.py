@@ -712,24 +712,20 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
     ss = grid.t.cell_centers()
     cell = grid.cell_measure
 
-    # one stack of halved tabs, the points' and then the spot pair's, so
-    # each sample pairs its noise with all of them in one product
-    tabs = np.empty((len(points) + 1, ys.size, ss.size))
-    for k, p in enumerate(points):
-        tabs[k] = cone_average_tab(mol, p, spec.eps, ys, ss, spec.quad_nodes)
+    tabs = [cone_average_tab(mol, p, spec.eps, ys, ss, spec.quad_nodes)
+            for p in points]
     spot_point = tuple(map(float, spec.cauchy_point))
-    spot_tab = tabs[-1]
-    spot_tab[...] = cone_average_tab(mol, spot_point, spot_lo, ys, ss,
-                                     spec.quad_nodes)
-    spot_tab -= cone_average_tab(mol, spot_point, spot_hi, ys, ss,
+    spot_tab = (cone_average_tab(mol, spot_point, spot_lo, ys, ss,
                                  spec.quad_nodes)
-    spot_ref = 0.25 * float((spot_tab * spot_tab).sum()) * cell
-    tabs *= 0.5
+                - cone_average_tab(mol, spot_point, spot_hi, ys, ss,
+                                   spec.quad_nodes))
 
     def one_sample(i: int):
         noise = white_noise_field(grid, subseed(spec.master_seed,
                                                 "forcing-noise", i))
-        return white_noise_action(noise, tabs)
+        row = [0.5 * white_noise_action(noise, tab) for tab in tabs]
+        row.append(0.5 * white_noise_action(noise, spot_tab))
+        return row
 
     samples = np.array(_pool_map(one_sample, range(n), jobs))
     vals = samples[:, :-1]
@@ -788,6 +784,7 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
                               "successive-difference second moments shrink"))
 
     # Monte Carlo spot check of the finest Cauchy pair on the sample slab
+    spot_ref = 0.25 * float((spot_tab * spot_tab).sum()) * cell
     spot_est, spot_se, z_spot = _mc_z(spot ** 2, spot_ref)
     checks.append(CheckResult("cauchy-spot-monte-carlo",
                               z_spot <= spec.z_bound, z_spot, spec.z_bound,

@@ -192,19 +192,6 @@ def test_white_noise_action_accepts_cell_tabulation(noise_grid):
     assert got == pytest.approx(float(np.sum(w.increments)))
 
 
-def test_white_noise_action_stack_matches_single_pairings(noise_grid):
-    w = white_noise_field(noise_grid, seed=3)
-    tabs = np.random.default_rng(4).standard_normal((5, *w.increments.shape))
-    got = white_noise_action(w, tabs)
-    want = [white_noise_action(w, tab) for tab in tabs]
-    assert got.shape == (5,)
-    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
-    with pytest.raises(ShapeMismatchError):
-        white_noise_action(w, tabs[:, :-1])
-    with pytest.raises(ShapeMismatchError):
-        white_noise_action(w, tabs[None])
-
-
 @settings(max_examples=30, deadline=None)
 @given(
     seed=st.integers(min_value=0, max_value=2**32 - 1),
