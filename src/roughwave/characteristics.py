@@ -50,7 +50,7 @@ def _step_count(speed: Field2D, t0: float, t1: float, n_steps: int | None) -> in
 def _clip_to_domain(speed: Field2D, x: np.ndarray, t: float):
     dom = speed.domain
     xc = np.clip(x, dom.x.lo, dom.x.hi)
-    tc = min(max(t, dom.t.lo), dom.t.hi)
+    tc = np.clip(t, dom.t.lo, dom.t.hi)
     return xc, tc
 
 
@@ -59,7 +59,9 @@ def _rk4_sweep(speed: Field2D, xs0: np.ndarray, t0: float, t1: float, n: int):
 
     Returns (positions at every level, alive mask, first escape time).
     Stage points are clipped to the domain so the field never sees
-    out-of-range queries; escape is judged on the unclipped update.
+    out-of-range queries; escape is judged on the unclipped update.  t0
+    and t1 may be arrays that broadcast against xs0 (one time span per
+    column).
     """
     h = (t1 - t0) / n
     dom = speed.domain
@@ -83,7 +85,7 @@ def _rk4_sweep(speed: Field2D, xs0: np.ndarray, t0: float, t1: float, n: int):
         nxt = np.where(alive, step, xs)
         escaped = alive & ((nxt < dom.x.lo) | (nxt > dom.x.hi))
         if np.any(escaped):
-            first_exit = min(first_exit, t + h)
+            first_exit = min(first_exit, float(np.min(t + h)))
             alive = alive & ~escaped
         xs = np.where(alive, nxt, xs)
         levels[k + 1] = xs
@@ -137,15 +139,16 @@ def flow_map(
 def flow_levels(
     speed: Field2D,
     xs: np.ndarray,
-    t0: float,
-    t1: float,
+    t0: float | np.ndarray,
+    t1: float | np.ndarray,
     n_steps: int,
 ) -> np.ndarray:
-    """Positions at every RK4 level, shape (n_steps+1, len(xs)).
+    """Positions at every RK4 level, shape (n_steps+1,) + xs.shape.
 
     Escaped walkers freeze at their last interior position instead of
     raising; callers that tabulate past the determinacy region must
-    quarantine those entries themselves.
+    quarantine those entries themselves.  t0 and t1 may be arrays that
+    broadcast against xs, giving each column its own time span.
     """
     xs = np.asarray(xs, dtype=float)
     levels, _, _ = _rk4_sweep(speed, xs, t0, t1, int(n_steps))

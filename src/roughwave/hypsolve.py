@@ -14,14 +14,15 @@ interpolated, so repeated sweeps do not compound interpolation error;
 only the right-hand side reads the previous iterate through linear
 interpolation in x.
 
-Characteristic feet come from per-component backward flow tables.  When
-every speed is time-independent the table is a single (levels x nodes)
-array built by composing one-level RK4 backsteps
-(:func:`roughwave.characteristics.flow_levels`), valid for any anchor
-level; the sweep then vectorizes over anchor levels at fixed feet
-depth.  Time-dependent speeds fall back to one triangle of feet per
-anchor level, which is quadratically bigger and served by a plain
-per-level loop; a memory guard refuses silly sizes.
+Characteristic feet come from one backward flow table per component,
+built by one-level RK4 backsteps
+(:func:`roughwave.characteristics.flow_levels`): for every depth m, a
+block whose column l is the foot on level l for anchor level l + m.  A
+time-independent speed gives every anchor the same feet, so its blocks
+are single columns; a time-dependent speed fills the whole triangle,
+which is quadratically bigger and guarded by GENERAL_PATH_BYTE_CAP.
+Either way one sweep serves both, vectorized over anchor levels at
+fixed feet depth.
 
 Values on the tabulation rectangle outside the domain of determinacy of
 the base interval are garbage by construction (feet are clamped).  The
@@ -36,7 +37,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .characteristics import DeterminacyTrapezoid, determinacy_domain, flow_levels
+from .characteristics import (
+    ROUGH_STEP_FRACTION,
+    DeterminacyTrapezoid,
+    determinacy_domain,
+    flow_levels,
+)
 from .errors import (
     DomainError,
     InvertibilityError,
@@ -151,114 +157,51 @@ def _substeps(speed: Field2D, dt: float) -> int:
     scale = getattr(speed, "scale", None)
     if scale is None or not np.isfinite(scale):
         return 1
-    return max(1, int(np.ceil(dt / (scale / 16.0))))
+    return max(1, int(np.ceil(dt / (scale * ROUGH_STEP_FRACTION))))
 
 
-class _FeetTables:
-    """Backward characteristic feet for every component.
+def _feet_blocks(speed: Field2D, xs: np.ndarray, t_nodes: np.ndarray, base: Interval):
+    """Backward characteristic feet of one component, one block per depth.
 
-    Autonomous speeds: feet[i][m] is the position after m backward
-    levels starting from the grid nodes, independent of the anchor
-    level.  General speeds: feet_at(i, k, m) is the position at level
-    k - m of the i-th characteristic anchored at the nodes on level k.
+    Block m has shape (nx, K+1-m): column l holds the foot on level l of
+    the characteristic through the nodes on anchor level l + m.  A
+    time-independent speed gives every anchor the same feet, so each of
+    its blocks is one (nx, 1) column that broadcasts over anchors.  Block
+    m+1 is block m without its level-0 column (shared feet keep their
+    one column), stepped back one level by RK4, each column over its own
+    time span, and clamped to the base interval.
     """
-
-    def __init__(self, problem, x_nodes, t_nodes, base: Interval):
-        self.x_nodes = x_nodes
-        self.t_nodes = t_nodes
-        self.lo, self.hi = base.lo, base.hi
-        self.autonomous = all(
-            getattr(s, "t_independent", False) for s in problem.speeds
-        )
-        K = len(t_nodes) - 1
-        dt = t_nodes[1] - t_nodes[0] if K > 0 else 0.0
-        self.tables = []
-        if self.autonomous:
-            for s in problem.speeds:
-                nsub = _substeps(s, abs(dt)) if K > 0 else 1
-                tab = np.empty((K + 1, len(x_nodes)))
-                tab[0] = x_nodes
-                for m in range(K):
-                    stepped = flow_levels(s, tab[m], t_nodes[1], t_nodes[0], nsub)[-1]
-                    tab[m + 1] = np.clip(stepped, self.lo, self.hi)
-                self.tables.append(tab)
-        else:
-            bytes_needed = problem.size * (K + 1) ** 2 // 2 * len(x_nodes) * 8
-            if bytes_needed > GENERAL_PATH_BYTE_CAP:
-                raise ParameterError(
-                    "time-dependent speeds need per-level feet triangles "
-                    f"(~{bytes_needed / 1e9:.2f} GB here); coarsen dt or "
-                    "use time-independent speeds"
-                )
-            for s in problem.speeds:
-                nsub = _substeps(s, abs(dt)) if K > 0 else 1
-                tri = []
-                for k in range(K + 1):
-                    feet = np.empty((k + 1, len(x_nodes)))
-                    feet[0] = x_nodes
-                    for m in range(k):
-                        stepped = flow_levels(
-                            s, feet[m], t_nodes[k - m], t_nodes[k - m - 1], nsub
-                        )[-1]
-                        feet[m + 1] = np.clip(stepped, self.lo, self.hi)
-                    tri.append(feet)
-                self.tables.append(tri)
-
-    def feet_at(self, i: int, k: int, m: int) -> np.ndarray:
-        if self.autonomous:
-            return self.tables[i][m]
-        return self.tables[i][k][m]
+    K = len(t_nodes) - 1
+    nsub = _substeps(speed, t_nodes[1] - t_nodes[0])
+    shared = getattr(speed, "t_independent", False)
+    blk = np.broadcast_to(xs[:, None], (len(xs), 1 if shared else K + 1))
+    blocks = [blk]
+    for m in range(K):
+        w = 1 if shared else K - m
+        stepped = flow_levels(speed, blk[:, -w:], t_nodes[1 : w + 1], t_nodes[:w], nsub)[-1]
+        blk = np.clip(stepped, base.lo, base.hi)
+        blocks.append(blk)
+    return blocks
 
 
-class _DepthValues:
-    """Coefficient values along one component's autonomous feet tables.
+def _along_feet(fld: Field2D, feet: list, t_nodes: np.ndarray) -> list:
+    """fld at every depth's feet, one block per depth.
 
-    Static (time-independent) fields cache one vector per depth; fields
-    that vary in t cache one (nodes x levels) matrix per depth, holding
-    values at times t_0 .. t_{K-m} as seen from anchor levels above m.
+    A time-independent field keeps the shape of the feet block (one
+    column on shared feet); a field that varies in t gets (nx, K+1-m)
+    values at times t_0 .. t_{K-m}, the levels of the block's columns.
     """
-
-    def __init__(self, fld: Field2D, feet_i: np.ndarray, t_nodes: np.ndarray):
-        self.fld = fld
-        self.feet_i = feet_i  # (K+1, nx)
-        self.t_nodes = t_nodes
-        self.static = getattr(fld, "t_independent", False)
-        self._cache = {}
-
-    def at(self, m: int) -> np.ndarray:
-        got = self._cache.get(m)
-        if got is not None:
-            return got
-        xs = self.feet_i[m]
-        if self.static:
-            got = self.fld.values(xs, np.zeros_like(xs))
-        else:
-            L = len(self.t_nodes) - m
-            xmat = np.broadcast_to(xs[:, None], (len(xs), L))
-            tmat = np.broadcast_to(self.t_nodes[:L][None, :], (len(xs), L))
-            got = self.fld.values(np.ascontiguousarray(xmat), np.ascontiguousarray(tmat))
-        self._cache[m] = got
-        return got
-
-
-class _PairCache:
-    """Coefficient values at triangle feet, memoized by (anchor, depth)."""
-
-    def __init__(self, fld: Field2D, feet: _FeetTables, i: int):
-        self.fld = fld
-        self.feet = feet
-        self.i = i
-        self._cache = {}
-
-    def at(self, k: int, m: int) -> np.ndarray:
-        key = (k, m)
-        got = self._cache.get(key)
-        if got is None:
-            xs = self.feet.feet_at(self.i, k, m)
-            t = np.full_like(xs, self.feet.t_nodes[k - m])
-            got = self.fld.values(xs, t)
-            self._cache[key] = got
-        return got
+    static = getattr(fld, "t_independent", False)
+    out = []
+    for m, f in enumerate(feet):
+        if static:
+            out.append(fld.values(f, np.zeros_like(f)))
+            continue
+        shape = (len(f), len(t_nodes) - m)
+        x = np.ascontiguousarray(np.broadcast_to(f, shape))
+        t = np.ascontiguousarray(np.broadcast_to(t_nodes[: shape[1]], shape))
+        out.append(fld.values(x, t))
+    return out
 
 
 def _clip_eval_1d(f: Field1D, xs: np.ndarray) -> np.ndarray:
@@ -266,141 +209,78 @@ def _clip_eval_1d(f: Field1D, xs: np.ndarray) -> np.ndarray:
     return f.values(xc)
 
 
-def _interp_weights(xs: np.ndarray, pts: np.ndarray):
+def _interp_gather(xs: np.ndarray, pts: np.ndarray, L: int):
+    """Gather indices and weights for linear interpolation in x at pts.
+
+    Shared feet (one column) gather whole rows, U[idx, :L], which is about
+    twice as fast as a gather per entry; per-anchor feet gather entry
+    (idx, l) for column l.
+    """
     dx = xs[1] - xs[0]
     idx = np.clip(((pts - xs[0]) / dx).astype(int), 0, len(xs) - 2)
     fr = np.clip((pts - xs[idx]) / dx, 0.0, 1.0)
-    return idx, fr
+    if pts.shape[1] == 1:
+        return idx[:, 0], slice(L), fr
+    return idx, np.arange(L), fr
 
 
-class _AutonomousEngine:
-    """Sweeps vectorized over anchor levels at fixed feet depth.
+class _PicardSweep:
+    """One Picard sweep, vectorized over anchor levels at fixed feet depth.
 
     The right-hand side value at feet depth m and time level l feeds the
     anchor level k = m + l with trapezoid weight dt (halved at m = 0 and
-    l = 0).  One (nodes x levels) block per depth replaces the per-level
-    inner loop.
+    l = 0).  The data term reads the datum at each anchor's level-0 foot.
     """
 
-    def __init__(self, problem, feet, xs, t_nodes, dt):
-        self.n = problem.size
-        self.xs = xs
-        self.K = len(t_nodes) - 1
+    def __init__(self, problem, xs, t_nodes, base, dt):
+        n = problem.size
+        K = len(t_nodes) - 1
+        self.K = K
         self.dt = dt
-        self.feet = feet
-        self.data_T = [
-            np.stack([
-                _clip_eval_1d(problem.data[i], feet.tables[i][m])
-                for m in range(self.K + 1)
-            ]).T.copy()
-            for i in range(self.n)
-        ]
-        self.iw = [
-            [_interp_weights(xs, feet.tables[i][m]) for m in range(self.K + 1)]
-            for i in range(self.n)
-        ]
-        self.coup = [
-            [
-                (j, _DepthValues(problem.coupling[i][j], feet.tables[i], t_nodes))
-                for j in range(self.n)
-                if not is_zero_field(problem.coupling[i][j])
-            ]
-            for i in range(self.n)
-        ]
-        self.force = [
-            _DepthValues(problem.forcing[i], feet.tables[i], t_nodes)
-            if not is_zero_field(problem.forcing[i])
-            else None
-            for i in range(self.n)
-        ]
-
-    def sweep(self, U):
-        n, K, dt = self.n, self.K, self.dt
-        new = []
+        self.data = []
+        self.gather = []
+        self.coup = []
+        self.force = []
         for i in range(n):
-            tab = self.data_T[i].copy()
-            if (self.coup[i] or self.force[i] is not None) and K > 0:
+            feet = _feet_blocks(problem.speeds[i], xs, t_nodes, base)
+            self.data.append(
+                np.stack([_clip_eval_1d(problem.data[i], f[:, 0]) for f in feet], axis=1)
+            )
+            self.gather.append(
+                [_interp_gather(xs, f, K + 1 - m) for m, f in enumerate(feet)]
+            )
+            self.coup.append([
+                (j, _along_feet(problem.coupling[i][j], feet, t_nodes))
+                for j in range(n)
+                if not is_zero_field(problem.coupling[i][j])
+            ])
+            g = problem.forcing[i]
+            self.force.append(None if is_zero_field(g) else _along_feet(g, feet, t_nodes))
+
+    def __call__(self, U):
+        K, dt = self.K, self.dt
+        new = []
+        for i, data in enumerate(self.data):
+            tab = data.copy()
+            if self.coup[i] or self.force[i] is not None:
                 for m in range(K + 1):
                     L = K + 1 - m
-                    idx, fr = self.iw[i][m]
+                    rows, cols, fr = self.gather[i][m]
                     rhs = None
-                    for j, dv in self.coup[i]:
+                    for j, fv in self.coup[i]:
                         Uj = U[j]
-                        V = (
-                            Uj[idx, :L] * (1.0 - fr)[:, None]
-                            + Uj[idx + 1, :L] * fr[:, None]
-                        )
-                        fv = dv.at(m)
-                        term = (fv[:, None] if fv.ndim == 1 else fv[:, :L]) * V
+                        V = Uj[rows, cols] * (1.0 - fr) + Uj[rows + 1, cols] * fr
+                        term = fv[m] * V
                         rhs = term if rhs is None else rhs + term
-                    g = self.force[i]
-                    if g is not None:
-                        gv = g.at(m)
-                        gmat = gv[:, None] if gv.ndim == 1 else gv[:, :L]
-                        rhs = gmat + (0.0 if rhs is None else rhs)
+                    if self.force[i] is not None:
+                        rhs = self.force[i][m] + (0.0 if rhs is None else rhs)
+                    rhs = np.broadcast_to(rhs, (len(tab), L))
                     if m == 0:
                         tab[:, 1:] += (0.5 * dt) * rhs[:, 1:]
                     else:
                         w = np.full(L, dt)
                         w[0] = 0.5 * dt
                         tab[:, m:] += rhs * w[None, :]
-            new.append(tab)
-        return new
-
-
-class _GeneralEngine:
-    """Plain per-anchor-level loop over triangle feet (small problems)."""
-
-    def __init__(self, problem, feet, xs, t_nodes, dt):
-        self.n = problem.size
-        self.xs = xs
-        self.K = len(t_nodes) - 1
-        self.dt = dt
-        self.feet = feet
-        self.data = [
-            np.stack([
-                _clip_eval_1d(problem.data[i], feet.feet_at(i, k, k))
-                for k in range(self.K + 1)
-            ])
-            for i in range(self.n)
-        ]
-        self.coup = [
-            [
-                (j, _PairCache(problem.coupling[i][j], feet, i))
-                for j in range(self.n)
-                if not is_zero_field(problem.coupling[i][j])
-            ]
-            for i in range(self.n)
-        ]
-        self.force = [
-            _PairCache(problem.forcing[i], feet, i)
-            if not is_zero_field(problem.forcing[i])
-            else None
-            for i in range(self.n)
-        ]
-
-    def sweep(self, U):
-        n, K, dt, xs = self.n, self.K, self.dt, self.xs
-        new = []
-        for i in range(n):
-            tab = np.empty((len(xs), K + 1))
-            has_rhs = bool(self.coup[i]) or self.force[i] is not None
-            for k in range(K + 1):
-                acc = self.data[i][k].copy()
-                if has_rhs and k > 0:
-                    integral = np.zeros(len(xs))
-                    for m in range(k + 1):
-                        lvl = k - m
-                        w = dt * (0.5 if m in (0, k) else 1.0)
-                        fx = self.feet.feet_at(i, k, m)
-                        rhs = np.zeros(len(xs))
-                        for j, pc in self.coup[i]:
-                            rhs += pc.at(k, m) * np.interp(fx, xs, U[j][:, lvl])
-                        if self.force[i] is not None:
-                            rhs += self.force[i].at(k, m)
-                        integral += w * rhs
-                    acc += integral
-                tab[:, k] = acc
             new.append(tab)
         return new
 
@@ -450,12 +330,17 @@ def solve_system(
                 f"which does not cover the base interval [{base.lo}, {base.hi}]"
             )
 
-    feet = _FeetTables(problem, xs, t_nodes, base)
-    engine_cls = _AutonomousEngine if feet.autonomous else _GeneralEngine
-    engine = engine_cls(problem, feet, xs, t_nodes, dt_eff)
-
     n = problem.size
     K = n_levels
+    per_anchor = sum(not getattr(s, "t_independent", False) for s in problem.speeds)
+    bytes_needed = per_anchor * (K + 1) ** 2 // 2 * nx * 8
+    if bytes_needed > GENERAL_PATH_BYTE_CAP:
+        raise ParameterError(
+            "time-dependent speeds need per-anchor feet triangles "
+            f"(~{bytes_needed / 1e9:.2f} GB here); coarsen dt or "
+            "use time-independent speeds"
+        )
+    sweep = _PicardSweep(problem, xs, t_nodes, base, dt_eff)
     trust_mask = np.stack(
         [trust.contains(xs, t_nodes[k]) for k in range(K + 1)], axis=1
     )
@@ -465,7 +350,7 @@ def solve_system(
     gaps = []
     converged = False
     for sweep_no in range(max_iter):
-        Unew = engine.sweep(U)
+        Unew = sweep(U)
         gap = max(
             float(np.max(np.abs((Unew[i] - U[i])[trust_mask]))) for i in range(n)
         )
@@ -480,7 +365,7 @@ def solve_system(
             f"(last gap {gaps[-1]:.3g})"
         )
 
-    Uaudit = engine.sweep(U)
+    Uaudit = sweep(U)
     audit = max(
         float(np.max(np.abs((Uaudit[i] - U[i])[trust_mask]))) for i in range(n)
     )

@@ -111,6 +111,21 @@ def test_flow_levels_endpoint_matches_flow_map():
     np.testing.assert_array_equal(levels[-1], flow_map(c, xs, 1.2, 0.0, n_steps=50))
 
 
+def test_flow_levels_per_column_times_match_scalar_calls():
+    # one time span per column, as the solver steps per-anchor feet: each
+    # column must equal its own scalar-time march
+    c = analytic_speed()
+    xs = np.linspace(-1.0, 1.0, 7)
+    t0 = np.array([0.3, 0.2, 0.1])
+    t1 = t0 - 0.1
+    block = np.stack([xs, xs + 0.05, xs - 0.05], axis=1)
+    got = flow_levels(c, block, t0, t1, 3)
+    assert got.shape == (4, 7, 3)
+    for col in range(3):
+        want = flow_levels(c, block[:, col], t0[col], t1[col], 3)
+        np.testing.assert_array_equal(got[:, :, col], want)
+
+
 def test_picard_detects_escape():
     c = ConstantField2D(1.0, domain=Rect(Interval(-1.0, 1.0), Interval(-5.0, 5.0)))
     with pytest.raises(DomainEscapeError):

@@ -73,6 +73,54 @@ def test_forced_transport_manufactured_solution():
     assert np.max(np.abs(got - want)) <= 1e-10
 
 
+def test_static_forcing_without_coupling():
+    # a time-independent forcing is the row's only right-hand side: its one
+    # shared column must reach every anchor level
+    prob = single(ConstantField2D(0.8), forcing=ConstantField2D(2.0))
+    sol = solve_system(prob, Interval(-4.0, 4.0), horizon=0.5, dt=0.01)
+    xs, got = sol.on_level(0, 0.5)
+    assert np.max(np.abs(got - (np.sin(xs - 0.4) + 1.0))) <= 1e-10
+
+
+def test_wave_with_static_forcing():
+    # u_tt = u_xx + 1, u0 = sin, u1 = 0: u = sin x cos t + t^2 / 2
+    sys = wave_to_system(
+        ConstantField2D(1.0),
+        SIN,
+        AnalyticField1D([np.cos]),
+        ZERO_1D,
+        forcing=ConstantField2D(1.0),
+    )
+    sol = sys.solve(Interval(-np.pi - 1.3, np.pi + 1.3), horizon=1.0, dt=0.01)
+    xs = sol.x_grid.nodes()
+    worst = 0.0
+    for k, t in enumerate(sol.t_nodes):
+        m = sol.trust.contains(xs, t)
+        want = np.sin(xs[m]) * np.cos(t) + 0.5 * t**2
+        worst = max(worst, float(np.max(np.abs(sol.tables[2][m, k] - want))))
+    assert worst <= 1e-4
+
+
+def test_wave_damping_and_potential_manufactured():
+    # u = cos t sin x solves u_tt = u_xx + 0.5 u_t - 0.3 u + g with
+    # g = 0.5 sin t sin x + 0.3 cos t sin x
+    g = AnalyticField2D({
+        (0, 0): lambda x, t: (0.5 * np.sin(t) + 0.3 * np.cos(t)) * np.sin(x)
+    })
+    sys = wave_to_system(
+        ConstantField2D(1.0),
+        SIN,
+        AnalyticField1D([np.cos]),
+        ZERO_1D,
+        damping=ConstantField2D(0.5),
+        potential=ConstantField2D(-0.3),
+        forcing=g,
+    )
+    sol = sys.solve(Interval(-np.pi - 1.3, np.pi + 1.3), horizon=0.5, dt=0.005)
+    xs, u = sol.on_level(sys.displacement_index, 0.5)
+    assert np.max(np.abs(u - np.cos(0.5) * np.sin(xs))) <= 1e-4
+
+
 def test_exponential_ode_matches_discrete_fixed_point():
     # speed 0, u' = u, u(0) = 1: the trapezoid fixed point is
     # ((2 + dt) / (2 - dt))^k exactly, and e^t up to O(t dt^2)
@@ -243,7 +291,7 @@ def test_transport_t_only_embedded_shift_is_exact():
     assert np.allclose(moved.values(np.array([0.3])), np.sin(0.3 - shift), atol=1e-12)
 
 
-def graph_speed_fields():
+def graph_speed_fields(t_independent=True):
     # curve y = 0.3 sin x; the wave along it has speed 1/sqrt(1 + c'^2)
     # and geometric drift lam * lam_x
     def lam(x, t):
@@ -255,10 +303,10 @@ def graph_speed_fields():
 
     speed = AnalyticField2D(
         {(0, 0): lam, (1, 0): lam_x, (0, 1): lambda x, t: 0.0 * x},
-        t_independent=True,
+        t_independent=t_independent,
     )
     drift = AnalyticField2D(
-        {(0, 0): lambda x, t: lam(x, t) * lam_x(x, t)}, t_independent=True
+        {(0, 0): lambda x, t: lam(x, t) * lam_x(x, t)}, t_independent=t_independent
     )
     return speed, drift
 
@@ -288,6 +336,23 @@ def test_geometric_wave_dual_route():
     chart = ArclengthChart(curve)
     route2 = geometric_wave_solve(chart, u0, None, xs, 0.4)
     assert np.max(np.abs(route1 - route2)) <= 5e-4
+
+
+def test_time_dependent_path_matches_shared_feet():
+    # the same graph speed and drift, flagged time-dependent, take per-anchor
+    # feet and per-anchor coefficient values; with a t-dependent forcing on
+    # top, every component must agree with the shared-feet solve
+    forcing = AnalyticField2D({(0, 0): lambda x, t: np.sin(x) * np.cos(t)})
+    u0 = AnalyticField1D([lambda x: np.exp(-4.0 * x**2)])
+    slope = AnalyticField1D([lambda x: -8.0 * x * np.exp(-4.0 * x**2)])
+    sols = []
+    for flag in (True, False):
+        speed, drift = graph_speed_fields(t_independent=flag)
+        sys = wave_to_system(speed, u0, slope, ZERO_1D, drift=drift, forcing=forcing)
+        sols.append(sys.solve(Interval(-3.0, 3.0), horizon=0.4, dt=0.01))
+    shared, per_anchor = sols
+    for i in range(3):
+        assert np.max(np.abs(shared.tables[i] - per_anchor.tables[i])) <= 1e-12
 
 
 def test_geometric_wave_with_initial_velocity():
