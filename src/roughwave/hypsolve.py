@@ -332,12 +332,19 @@ def solve_system(
 
     n = problem.size
     K = n_levels
-    per_anchor = sum(not getattr(s, "t_independent", False) for s in problem.speeds)
-    bytes_needed = per_anchor * (K + 1) ** 2 // 2 * nx * 8
+    # A component with a time-dependent speed stores triangles of (K+1)^2/2
+    # x nx entries: feet, gather indices, gather weights and one value
+    # block per nonzero coupling or forcing entry.
+    triangles = sum(
+        3 + sum(not is_zero_field(f) for f in (*problem.coupling[i], problem.forcing[i]))
+        for i, s in enumerate(problem.speeds)
+        if not getattr(s, "t_independent", False)
+    )
+    bytes_needed = triangles * (K + 1) ** 2 // 2 * nx * 8
     if bytes_needed > GENERAL_PATH_BYTE_CAP:
         raise ParameterError(
-            "time-dependent speeds need per-anchor feet triangles "
-            f"(~{bytes_needed / 1e9:.2f} GB here); coarsen dt or "
+            "time-dependent speeds need per-anchor feet and coefficient "
+            f"triangles (~{bytes_needed / 1e9:.2f} GB here); coarsen dt or "
             "use time-independent speeds"
         )
     sweep = _PicardSweep(problem, xs, t_nodes, base, dt_eff)
@@ -387,11 +394,10 @@ def solve_system(
 
 
 class _TimeReflected(Field2D):
-    """Coefficient field under t -> -t, with an optional sign flip."""
+    """Coefficient field under t -> -t, negated: -f(x, -t)."""
 
-    def __init__(self, f: Field2D, negate: bool):
+    def __init__(self, f: Field2D):
         self._f = f
-        self._sign = -1.0 if negate else 1.0
         d = f.domain
         self.domain = type(d)(d.x, Interval(-d.t.hi, -d.t.lo))
         self.t_independent = getattr(f, "t_independent", False)
@@ -401,15 +407,15 @@ class _TimeReflected(Field2D):
         if dx or dt:
             raise ParameterError("reflected fields serve value queries only")
         t = np.asarray(t, dtype=float)
-        return self._sign * self._f.values(x, -t)
+        return -self._f.values(x, -t)
 
 
 def _reflect_problem(problem: HyperbolicProblem) -> HyperbolicProblem:
     # under tau = -t the transport operator flips sign: speeds, coupling
     # and forcing all negate (and read their fields at -tau)
-    ref = lambda f: None if f is None else _TimeReflected(f, True)
+    ref = lambda f: None if f is None else _TimeReflected(f)
     return HyperbolicProblem(
-        speeds=[_TimeReflected(s, True) for s in problem.speeds],
+        speeds=[_TimeReflected(s) for s in problem.speeds],
         coupling=[[ref(c) for c in row] for row in problem.coupling],
         forcing=[ref(g) for g in problem.forcing],
         data=problem.data,

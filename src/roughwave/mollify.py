@@ -11,6 +11,11 @@ Gaussian-tail discrepancy.
 Derivatives of the smoothed field convolve with the derivative of the
 kernel, so differentiation and smoothing commute by construction.
 
+A path (one axis) and a sheet (two) share one per-axis window, _Axis: its
+checks, its safe interval, the 2*hw+1 nodes and kernel weights around
+each query point, and the kernel row that table() convolves with.  Both
+evaluate at most _CHUNK_ENTRIES window entries per chunk.
+
 Kernel evaluation forms the Leibniz sum of cutoff and Gaussian terms only
 on the transition band cutoff_inner < |z| < cutoff_outer.  On the plateau
 |z| <= cutoff_inner the cutoff is exactly 1 and its derivatives exactly 0,
@@ -42,8 +47,8 @@ _SCALE_MAPS = ("identity", "log", "loglog")
 
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 
-# Window entries per chunk in EmbeddedField1D.values: each temporary of a
-# chunk (indices, offsets, weights, gathered path values) stays at 8 MiB.
+# Window entries per chunk of EmbeddedField1D.values and EmbeddedField2D.values
+# (wx * wt per point in 2D): each chunk temporary stays at 8 MiB.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -52,8 +57,10 @@ def _poly_coeffs(coeffs: tuple, order: int) -> tuple:
     """Coefficients of P_k, where rho^(k) = P_k * gaussian and P_0 = P.
 
     Uses P_{k+1} = P_k' - z P_k.  Keyed on the coefficient tuple, so the
-    cache holds no Mollifier.
+    cache holds no Mollifier.  Every kernel derivative starts here.
     """
+    if order < 0:
+        raise ParameterError(f"derivative order must be >= 0, got {order}")
     if order == 0:
         return coeffs
     prev = Polynomial(_poly_coeffs(coeffs, order - 1))
@@ -287,6 +294,47 @@ class EpsLadder:
         return float(s)
 
 
+class _Axis:
+    """Checks, safe interval and kernel windows of one grid axis at one scale."""
+
+    def __init__(self, grid, mol: Mollifier, scale: float, base_order: int):
+        if not (0.0 < scale <= 1.0):
+            raise ParameterError(f"kernel scale must be in (0, 1], got {scale}")
+        if base_order < 0:
+            raise ParameterError(f"derivative order must be >= 0, got {base_order}")
+        if grid.step > scale / 8.0 + 1e-15:
+            raise ResolutionError(
+                f"grid step {grid.step} too coarse for scale {scale}: need <= scale/8"
+            )
+        r = mol.support_radius(scale)
+        if grid.lower + r + 4 * grid.step >= grid.upper - r - 4 * grid.step:
+            raise DomainError(
+                f"kernel support radius {r} leaves no safe interior in "
+                f"[{grid.lower}, {grid.upper}]"
+            )
+        self.grid = grid
+        self.mol = mol
+        self.scale = float(scale)
+        self.base = base_order
+        self.safe = Interval(grid.lower + r, grid.upper - r)
+        self.hw = int(np.ceil(r / grid.step)) + 1
+        self.width = 2 * self.hw + 1
+
+    def window(self, xs: np.ndarray, order: int):
+        """Gather indices and d^(base + order) kernel weights, (len(xs), width)."""
+        g = self.grid
+        j0 = np.floor((xs - g.lower) / g.step).astype(np.int64) - self.hw
+        j0 = np.clip(j0, 0, g.count - self.width)
+        idx = j0[:, None] + np.arange(self.width)[None, :]
+        z = xs[:, None] - (g.lower + idx * g.step)
+        return idx, self.mol.kernel_values(z, self.scale, self.base + order)
+
+    def kernel_row(self, order: int) -> np.ndarray:
+        """d^(base + order) kernel at the offsets -hw..hw steps, for table()."""
+        offsets = (np.arange(self.width) - self.hw) * self.grid.step
+        return self.mol.kernel_values(offsets, self.scale, self.base + order)
+
+
 class EmbeddedField1D(Field1D):
     """Path smoothed at a fixed scale; derivatives via kernel derivatives."""
 
@@ -298,69 +346,36 @@ class EmbeddedField1D(Field1D):
         base_order: int = 0,
         eps: float | None = None,
     ):
-        if not (0.0 < kernel_scale <= 1.0):
-            raise ParameterError(f"kernel scale must be in (0, 1], got {kernel_scale}")
-        if base_order < 0:
-            raise ParameterError("derivative order must be >= 0")
-        g = process.grid
-        if g.step > kernel_scale / 8.0 + 1e-15:
-            raise ResolutionError(
-                f"path step {g.step} too coarse for scale {kernel_scale}: need <= scale/8"
-            )
+        self._axis = _Axis(process.grid, mol, kernel_scale, base_order)
         self.process = process
-        self.mol = mol
-        self.kernel_scale = float(kernel_scale)
+        self.scale = self._axis.scale
         self.base_order = base_order
-        self.eps = float(eps) if eps is not None else float(kernel_scale)
-        r = mol.support_radius(kernel_scale)
-        if g.lower + r + 4 * g.step >= g.upper - r - 4 * g.step:
-            raise DomainError(
-                f"kernel support radius {r} leaves no safe interior in "
-                f"[{g.lower}, {g.upper}]"
-            )
-        self.domain = Interval(g.lower + r, g.upper - r)
-        self.scale = self.kernel_scale
-        self._radius = r
+        self.eps = self.scale if eps is None else float(eps)
+        self.domain = self._axis.safe
         self._tables: dict[int, np.ndarray] = {}
-
-    # -- helpers -------------------------------------------------------
-
-    def _window(self):
-        hw = int(np.ceil(self._radius / self.process.grid.step)) + 1
-        return hw
-
-    def _kernel_samples(self, order: int) -> np.ndarray:
-        hw = self._window()
-        offsets = (np.arange(2 * hw + 1) - hw) * self.process.grid.step
-        return self.mol.kernel_values(offsets, self.kernel_scale, order)
 
     # -- Field1D interface ----------------------------------------------
 
     def values(self, x, order: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self.check_domain(x)
-        k = self.base_order + order
-        g = self.process.grid
+        step = self.process.grid.step
         flat = np.ravel(x)
-        hw = self._window()
-        width = 2 * hw + 1
         out = np.empty(flat.shape)
-        max_chunk = max(1, _CHUNK_ENTRIES // width)
+        max_chunk = max(1, _CHUNK_ENTRIES // self._axis.width)
         for lo in range(0, flat.size, max_chunk):
-            xs = flat[lo : lo + max_chunk]
-            j0 = np.floor((xs - g.lower) / g.step).astype(np.int64) - hw
-            j0 = np.clip(j0, 0, g.count - width)
-            idx = j0[:, None] + np.arange(width)[None, :]
-            z = xs[:, None] - (g.lower + idx * g.step)
-            w = self.mol.kernel_values(z, self.kernel_scale, k)
-            out[lo : lo + max_chunk] = (w * self.process.values[idx]).sum(axis=1) * g.step
+            idx, w = self._axis.window(flat[lo : lo + max_chunk], order)
+            out[lo : lo + max_chunk] = (w * self.process.values[idx]).sum(axis=1) * step
+            # Free idx, keep w until the next window replaces it: holding
+            # both raises peak RSS, freeing both costs wall time.
+            del idx
         return out.reshape(x.shape)
 
     def table(self, order: int = 0) -> np.ndarray:
         """Field tabulated on the path grid (trustworthy inside .domain)."""
         k = self.base_order + order
         if k not in self._tables:
-            v = self._kernel_samples(k)
+            v = self._axis.kernel_row(order)
             p = self.process.values
             if v.size <= 1024 and v.size <= p.size:
                 conv = np.convolve(p, v, mode="same")
@@ -378,7 +393,7 @@ class EmbeddedField1D(Field1D):
     def shift_order(self, delta: int) -> "EmbeddedField1D":
         """Same smoothing, different base derivative order."""
         return EmbeddedField1D(
-            self.process, self.mol, self.kernel_scale, self.base_order + delta, self.eps
+            self.process, self._axis.mol, self.scale, self.base_order + delta, self.eps
         )
 
     def integral(self, a: float, b: float) -> float:
@@ -401,83 +416,34 @@ class EmbeddedField2D(Field2D):
         base_dt: int = 0,
         eps: float | None = None,
     ):
-        if not (0.0 < kernel_scale <= 1.0):
-            raise ParameterError(f"kernel scale must be in (0, 1], got {kernel_scale}")
         g = process.grid
-        for axis in (g.x, g.t):
-            if axis.step > kernel_scale / 8.0 + 1e-15:
-                raise ResolutionError(
-                    f"grid step {axis.step} too coarse for scale {kernel_scale}"
-                )
+        self._x = _Axis(g.x, mol, kernel_scale, base_dx)
+        self._t = _Axis(g.t, mol, kernel_scale, base_dt)
         self.process = process
-        self.mol = mol
-        self.kernel_scale = float(kernel_scale)
-        self.base_dx = base_dx
-        self.base_dt = base_dt
-        self.eps = float(eps) if eps is not None else float(kernel_scale)
-        r = mol.support_radius(kernel_scale)
-        if (
-            g.x.lower + r + 4 * g.x.step >= g.x.upper - r - 4 * g.x.step
-            or g.t.lower + r + 4 * g.t.step >= g.t.upper - r - 4 * g.t.step
-        ):
-            raise DomainError("kernel support leaves no safe interior rectangle")
-        self.domain = Rect(
-            Interval(g.x.lower + r, g.x.upper - r),
-            Interval(g.t.lower + r, g.t.upper - r),
-        )
-        self.scale = self.kernel_scale
-        self._radius = r
-
-    def _axis_kernel(self, grid_step: float, order: int):
-        hw = int(np.ceil(self._radius / grid_step)) + 1
-        offsets = (np.arange(2 * hw + 1) - hw) * grid_step
-        return hw, self.mol.kernel_values(offsets, self.kernel_scale, order)
+        self.scale = self._x.scale
+        self.eps = self.scale if eps is None else float(eps)
+        self.domain = Rect(self._x.safe, self._t.safe)
 
     def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         self.check_domain(x, t)
-        kx = self.base_dx + dx
-        kt = self.base_dt + dt
-        g = self.process.grid
         shape = np.broadcast_shapes(x.shape, t.shape)
         xs = np.ravel(np.broadcast_to(x, shape)).astype(float)
         ts = np.ravel(np.broadcast_to(t, shape)).astype(float)
-        hwx = int(np.ceil(self._radius / g.x.step)) + 1
-        hwt = int(np.ceil(self._radius / g.t.step)) + 1
-        wx = 2 * hwx + 1
-        wt = 2 * hwt + 1
         out = np.empty(xs.shape)
-        max_chunk = max(1, int(2e7) // (wx * wt))
+        max_chunk = max(1, _CHUNK_ENTRIES // (self._x.width * self._t.width))
         for lo in range(0, xs.size, max_chunk):
-            xc = xs[lo : lo + max_chunk]
-            tc = ts[lo : lo + max_chunk]
-            jx = np.clip(
-                np.floor((xc - g.x.lower) / g.x.step).astype(np.int64) - hwx,
-                0,
-                g.x.count - wx,
-            )
-            jt = np.clip(
-                np.floor((tc - g.t.lower) / g.t.step).astype(np.int64) - hwt,
-                0,
-                g.t.count - wt,
-            )
-            ix = jx[:, None] + np.arange(wx)[None, :]
-            it = jt[:, None] + np.arange(wt)[None, :]
-            zx = xc[:, None] - (g.x.lower + ix * g.x.step)
-            zt = tc[:, None] - (g.t.lower + it * g.t.step)
-            wzx = self.mol.kernel_values(zx, self.kernel_scale, kx)
-            wzt = self.mol.kernel_values(zt, self.kernel_scale, kt)
+            ix, wzx = self._x.window(xs[lo : lo + max_chunk], dx)
+            it, wzt = self._t.window(ts[lo : lo + max_chunk], dt)
             patch = self.process.values[ix[:, :, None], it[:, None, :]]
             out[lo : lo + max_chunk] = np.einsum("pi,pij,pj->p", wzx, patch, wzt)
-        return (out * g.cell_measure).reshape(shape)
+        return (out * self.process.grid.cell_measure).reshape(shape)
 
     def table(self, dx: int = 0, dt: int = 0) -> np.ndarray:
-        g = self.process.grid
-        _, vx = self._axis_kernel(g.x.step, self.base_dx + dx)
-        _, vt = self._axis_kernel(g.t.step, self.base_dt + dt)
-        kern = np.outer(vx, vt)
-        return fftconvolve(self.process.values, kern, mode="same") * g.cell_measure
+        kern = np.outer(self._x.kernel_row(dx), self._t.kernel_row(dt))
+        conv = fftconvolve(self.process.values, kern, mode="same")
+        return conv * self.process.grid.cell_measure
 
 
 def embed_path(process, mol: Mollifier, eps: float):

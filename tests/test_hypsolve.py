@@ -12,6 +12,7 @@ from roughwave.errors import (
 from roughwave.fields import sample_brownian_1d
 from roughwave.grids import Grid1D
 from roughwave.hypsolve import (
+    GENERAL_PATH_BYTE_CAP,
     HyperbolicProblem,
     geometric_wave_solve,
     gronwall_check,
@@ -182,6 +183,18 @@ def test_triangle_path_memory_guard():
     prob = single(lam)
     with pytest.raises(ParameterError):
         solve_system(prob, Interval(-3.0, 3.0), horizon=1.0, dt=1e-4, x_step=1e-3)
+
+
+def test_triangle_memory_guard_counts_coefficient_blocks():
+    # the feet alone fit under the cap; with their gather indices and
+    # weights and the coupling and forcing blocks of the same size they
+    # do not
+    lam = AnalyticField2D({(0, 0): lambda x, t: 0.5 + 0.0 * x + 0.001 * t})
+    prob = single(lam, coupling=ConstantField2D(-0.3), forcing=ConstantField2D(1.0))
+    K, nx = 1000, 25
+    assert (K + 1) ** 2 // 2 * nx * 8 <= GENERAL_PATH_BYTE_CAP
+    with pytest.raises(ParameterError, match="0.50 GB"):
+        solve_system(prob, Interval(-3.0, 3.0), horizon=1.0, dt=1e-3, x_step=0.25)
 
 
 def test_solution_queries_respect_trust_region():

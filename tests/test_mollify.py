@@ -9,10 +9,17 @@ from roughwave.errors import (
     ResolutionError,
     ScaleError,
 )
-from roughwave.fields import SampledField2D, SampledProcess, sample_brownian_1d
+from roughwave.fields import (
+    SampledField2D,
+    SampledProcess,
+    sample_brownian_1d,
+    sample_brownian_2d,
+)
 from roughwave.grids import Grid1D, Grid2D
 from roughwave import mollify
 from roughwave.mollify import (
+    EmbeddedField1D,
+    EmbeddedField2D,
     EpsLadder,
     Mollifier,
     build_mollifier,
@@ -300,7 +307,7 @@ def test_values_chunks_split_rows_only(monkeypatch):
     mol = build_mollifier(moments=2)
     grid = Grid1D.from_bounds(-1.0, 2.0, int(round(3.0 / (eps / 8))) + 1)
     f = embed_derivative(sample_brownian_1d(grid, seed=11), mol, eps, order=1)
-    width = 2 * f._window() + 1
+    width = 2 * (int(np.ceil(mol.support_radius(eps) / grid.step)) + 1) + 1
     rows = mollify._CHUNK_ENTRIES // width
     xs = np.random.default_rng(4).uniform(0.0, 1.0, 3 * rows + 17)
     sizes = []
@@ -384,6 +391,38 @@ def test_resolution_precondition():
         embed_path(p, mol, 0.1)
 
 
+def _sheet(eps, lo=-2.0, hi=2.0, seed=0):
+    axis = Grid1D.from_bounds(lo, hi, int(round((hi - lo) / (eps / 8))) + 1)
+    return sample_brownian_2d(Grid2D(axis, axis), seed=seed)
+
+
+_NEGATIVE_ORDERS = {
+    "rho": lambda p, s: build_mollifier(moments=2).rho(np.array([0.1]), -1),
+    "kernel_values": lambda p, s: build_mollifier(moments=2).kernel_values(
+        np.array([0.1]), 0.1, -1
+    ),
+    "1d base_order": lambda p, s: EmbeddedField1D(p, build_mollifier(), 0.1, base_order=-1),
+    "1d values": lambda p, s: embed_path(p, build_mollifier(), 0.1).values(
+        np.array([0.0]), order=-1
+    ),
+    "2d base_dx": lambda p, s: EmbeddedField2D(s, build_mollifier(), 0.1, base_dx=-1),
+    "2d base_dt": lambda p, s: EmbeddedField2D(s, build_mollifier(), 0.1, base_dt=-1),
+    "2d values dx": lambda p, s: embed_path(s, build_mollifier(), 0.1).values(
+        np.array([0.0]), np.array([0.0]), dx=-1
+    ),
+    "2d values dt": lambda p, s: embed_path(s, build_mollifier(), 0.1).values(
+        np.array([0.0]), np.array([0.0]), dt=-1
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NEGATIVE_ORDERS))
+def test_negative_derivative_order_rejected(case):
+    path = tabulate(np.sin, -2.0, 2.0, 0.1 / 8)
+    with pytest.raises(ParameterError):
+        _NEGATIVE_ORDERS[case](path, _sheet(0.1))
+
+
 def test_domain_guard_on_evaluation():
     eps = 0.05
     p = tabulate(np.sin, -1.0, 1.0, eps / 8)
@@ -450,3 +489,31 @@ def test_embed_2d_table_matches_pointwise():
     j = g2.t.nearest_index(-0.1)
     direct = f.values(np.array([g2.x.nodes()[i]]), np.array([g2.t.nodes()[j]]))[0]
     assert abs(tab[i, j] - direct) <= 1e-9
+
+
+def test_sheet_values_chunk_by_window_entries(monkeypatch):
+    eps = 0.1
+    f = embed_path(_sheet(eps, -1.0, 2.0, seed=12), build_mollifier(moments=2), eps)
+    rng = np.random.default_rng(6)
+    xs = rng.uniform(f.domain.x.lo, f.domain.x.hi, 3000)
+    ts = rng.uniform(f.domain.t.lo, f.domain.t.hi, 3000)
+    kernel_sizes, patch_sizes = [], []
+    inner_kernel, inner_einsum = Mollifier.kernel_values, np.einsum
+
+    def kernel(self, z, scale, order=0):
+        kernel_sizes.append(np.size(z))
+        return inner_kernel(self, z, scale, order)
+
+    def einsum(spec, wx, patch, wt):
+        patch_sizes.append(patch.size)
+        return inner_einsum(spec, wx, patch, wt)
+
+    monkeypatch.setattr(Mollifier, "kernel_values", kernel)
+    monkeypatch.setattr(np, "einsum", einsum)  # the patch gather feeds einsum
+    whole = f.values(xs, ts)
+    assert len(patch_sizes) > 10 and len(kernel_sizes) == 2 * len(patch_sizes)
+    assert max(kernel_sizes) <= mollify._CHUNK_ENTRIES
+    assert max(patch_sizes) <= mollify._CHUNK_ENTRIES
+    pieces = np.concatenate([f.values(xs[lo:lo + 700], ts[lo:lo + 700])
+                             for lo in range(0, xs.size, 700)])
+    assert np.array_equal(whole, pieces)
