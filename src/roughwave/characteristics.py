@@ -254,15 +254,18 @@ def determinacy_domain(
     """Trapezoid from a sampled speed bound.
 
     The bound is sup |c| over a lattice on base x [-horizon, horizon],
-    inflated by `safety`.  Raises EmptyDomainError up front if the
-    trapezoid collapses before the requested horizon.
+    inflated by `safety`.  A `t_independent` speed gives identical rows,
+    so it is sampled on one row only; the sup, and the bound, are the
+    same floats.  Raises EmptyDomainError up front if the trapezoid
+    collapses before the requested horizon.
     """
     if horizon <= 0.0:
         raise ParameterError("horizon must be positive")
     xs = np.linspace(base.lo, base.hi, samples)
     t_lo = max(-horizon, speed.domain.t.lo)
     t_hi = min(horizon, speed.domain.t.hi)
-    ts = np.linspace(t_lo, t_hi, min(samples, 129))
+    rows = 1 if getattr(speed, "t_independent", False) else min(samples, 129)
+    ts = np.linspace(t_lo, t_hi, rows)
     sup = 0.0
     for t in ts:
         sup = max(sup, float(np.max(np.abs(speed.values(xs, np.full_like(xs, t))))))

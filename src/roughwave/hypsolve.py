@@ -22,7 +22,14 @@ time-independent speed gives every anchor the same feet, so its blocks
 are single columns; a time-dependent speed fills the whole triangle,
 which is quadratically bigger and guarded by GENERAL_PATH_BYTE_CAP.
 Either way one sweep serves both, vectorized over anchor levels at
-fixed feet depth.
+fixed feet depth.  Data, coupling and forcing values at the feet are
+computed once, before the first sweep, block by block: a row's fields
+and its datum read one feet block before any reads the next, so the wave
+reduction's two couplings and datum per row share one evaluation of the
+speed and its derivatives.
+
+`halving_error_estimate` takes the caller's dt solve and runs only the
+dt/2 solve, refusing a coarse solve that is not on its lattice.
 
 Values on the tabulation rectangle outside the domain of determinacy of
 the base interval are garbage by construction (feet are clamped).  The
@@ -184,24 +191,34 @@ def _feet_blocks(speed: Field2D, xs: np.ndarray, t_nodes: np.ndarray, base: Inte
     return blocks
 
 
-def _along_feet(fld: Field2D, feet: list, t_nodes: np.ndarray) -> list:
-    """fld at every depth's feet, one block per depth.
+def _along_feet(fields: list, datum: Field1D, feet: list, t_nodes: np.ndarray):
+    """One row's fields on every depth's feet, and its datum at their level-0 feet.
 
-    A time-independent field keeps the shape of the feet block (one
-    column on shared feet); a field that varies in t gets (nx, K+1-m)
-    values at times t_0 .. t_{K-m}, the levels of the block's columns.
+    Returns (data, out): column m of data is the datum on block m's
+    column 0 (the level-0 feet of anchor level m), and out[k][m] is
+    fields[k] on block m.  A time-independent field keeps the shape of
+    the feet block (one column on shared feet); a field that varies in t
+    gets (nx, K+1-m) values at times t_0 .. t_{K-m}, the levels of the
+    block's columns.  The loop is block-major: all fields query block m,
+    at the same points, and then the datum, before anything queries
+    block m + 1.  So fields and a datum built on shared values (the wave
+    reduction's couplings and u1 -+ lam u0') evaluate those once per block.
     """
-    static = getattr(fld, "t_independent", False)
-    out = []
+    varies = [not getattr(fld, "t_independent", False) for fld in fields]
+    out = [[] for _ in fields]
+    data = []
     for m, f in enumerate(feet):
-        if static:
-            out.append(fld.values(f, np.zeros_like(f)))
-            continue
-        shape = (len(f), len(t_nodes) - m)
-        x = np.ascontiguousarray(np.broadcast_to(f, shape))
-        t = np.ascontiguousarray(np.broadcast_to(t_nodes[: shape[1]], shape))
-        out.append(fld.values(x, t))
-    return out
+        static_at = (f, np.zeros_like(f))
+        if any(varies):
+            shape = (len(f), len(t_nodes) - m)
+            varying_at = (
+                np.ascontiguousarray(np.broadcast_to(f, shape)),
+                np.ascontiguousarray(np.broadcast_to(t_nodes[: shape[1]], shape)),
+            )
+        for vals, fld, vary in zip(out, fields, varies):
+            vals.append(fld.values(*(varying_at if vary else static_at)))
+        data.append(_clip_eval_1d(datum, f[:, 0]))
+    return np.stack(data, axis=1), out
 
 
 def _clip_eval_1d(f: Field1D, xs: np.ndarray) -> np.ndarray:
@@ -243,19 +260,18 @@ class _PicardSweep:
         self.force = []
         for i in range(n):
             feet = _feet_blocks(problem.speeds[i], xs, t_nodes, base)
-            self.data.append(
-                np.stack([_clip_eval_1d(problem.data[i], f[:, 0]) for f in feet], axis=1)
-            )
             self.gather.append(
                 [_interp_gather(xs, f, K + 1 - m) for m, f in enumerate(feet)]
             )
-            self.coup.append([
-                (j, _along_feet(problem.coupling[i][j], feet, t_nodes))
-                for j in range(n)
-                if not is_zero_field(problem.coupling[i][j])
-            ])
+            live = [j for j in range(n) if not is_zero_field(problem.coupling[i][j])]
             g = problem.forcing[i]
-            self.force.append(None if is_zero_field(g) else _along_feet(g, feet, t_nodes))
+            row = [problem.coupling[i][j] for j in live]
+            if not is_zero_field(g):
+                row.append(g)
+            data, vals = _along_feet(row, problem.data[i], feet, t_nodes)
+            self.data.append(data)
+            self.coup.append(list(zip(live, vals)))
+            self.force.append(vals[-1] if len(vals) > len(live) else None)
 
     def __call__(self, U):
         K, dt = self.K, self.dt
@@ -519,26 +535,36 @@ def wave_to_system(
     scales = [f.scale for f in (lam, drift, damping) if f is not None and f.scale]
     coef_scale = min(scales) if scales else None
 
-    def coef(sign: float):
-        # sign -1 gives A = (drift - lam_t - lam lam_x) / (2 lam), +1 gives B
+    # The two couplings of a row query the same points in turn, and the
+    # row's datum then reads lam on their level-0 column (the solver
+    # evaluates a row block by block), so the inputs of the latest query
+    # are kept, as one (x, t, values) entry, and served to the next query
+    # at equal points.
+    latest = None
+
+    def inputs(x, t):
+        # drift, lam_t, lam_x, lam and half the damping at (x, t)
+        nonlocal latest
+        hit = latest
+        if hit is not None and np.array_equal(hit[0], x) and np.array_equal(hit[1], t):
+            return hit[2]
+        vals = (
+            drift.values(x, t) if drift is not None else 0.0,
+            lam.values(x, t, dt=1),
+            lam.values(x, t, dx=1),
+            lam.values(x, t),
+            0.5 * damping.values(x, t) if damping is not None else 0.0,
+        )
+        latest = (np.array(x), np.array(t), vals)
+        return vals
+
+    def coupling(sign: float, side: float):
+        # sign -1 gives A = (drift - lam_t - lam lam_x) / (2 lam), +1 gives
+        # B; the row's diagonal entry takes -A (or -B), the other +A (+B)
         def fn(x, t):
-            a = drift.values(x, t) if drift is not None else 0.0
-            lt = lam.values(x, t, dt=1)
-            lx = lam.values(x, t, dx=1)
-            lv = lam.values(x, t)
-            return (a + sign * lt - lv * lx) / (2.0 * lv)
+            a, lt, lx, lv, hd = inputs(x, t)
+            return side * ((a + sign * lt - lv * lx) / (2.0 * lv)) + hd
 
-        return fn
-
-    coef_A = coef(-1.0)
-    coef_B = coef(+1.0)
-
-    def half_damp(x, t):
-        if damping is None:
-            return 0.0
-        return 0.5 * damping.values(x, t)
-
-    def mk(fn):
         return CallableField2D(
             fn, domain=coef_dom, t_independent=coef_static, scale=coef_scale
         )
@@ -546,10 +572,10 @@ def wave_to_system(
     if plain:
         f_vv = f_vw = f_wv = f_ww = None
     else:
-        f_vv = mk(lambda x, t: -coef_A(x, t) + half_damp(x, t))
-        f_vw = mk(lambda x, t: coef_A(x, t) + half_damp(x, t))
-        f_wv = mk(lambda x, t: -coef_B(x, t) + half_damp(x, t))
-        f_ww = mk(lambda x, t: coef_B(x, t) + half_damp(x, t))
+        f_vv = coupling(-1.0, -1.0)
+        f_vw = coupling(-1.0, +1.0)
+        f_wv = coupling(+1.0, -1.0)
+        f_ww = coupling(+1.0, +1.0)
 
     half = ConstantField2D(0.5)
     neg_speed = TransformedField2D(lambda v: -v, lam)
@@ -563,9 +589,18 @@ def wave_to_system(
     )
     data_scale = min(data_scales) if data_scales else None
 
+    def lam_at_rest(x):
+        # lam(x, 0); column 0 of a feet block holds level-0 feet at t = 0
+        hit = latest
+        if hit is not None and hit[0].ndim == 2 and hit[0].shape == hit[1].shape:
+            xk, tk, vals = hit
+            if np.array_equal(xk[:, 0], x) and not np.any(tk[:, 0]):
+                return vals[3][:, 0]
+        return lam.values(x, np.zeros_like(x))
+
     def char_datum(sign: float):
         def fn(x):
-            return u1.values(x) + sign * lam.values(x, np.zeros_like(x)) * u0_slope.values(x)
+            return u1.values(x) + sign * lam_at_rest(x) * u0_slope.values(x)
 
         return CallableField1D(fn, domain=data_dom, scale=data_scale)
 
@@ -680,6 +715,7 @@ def geometric_wave_solve(
 
 def halving_error_estimate(
     problem: HyperbolicProblem,
+    coarse: SolutionField,
     base: Interval,
     horizon: float,
     dt: float,
@@ -690,9 +726,17 @@ def halving_error_estimate(
 
     Standard discretization-error proxy: both solves share the coarse
     lattice nodes, where the fine solve is close to converged in dt.
+    `coarse` is the caller's solve_system(problem, base, horizon, dt,
+    **kw); only the dt/2 solve runs here.  ParameterError if `coarse` is
+    not on the fine solve's lattice: every second fine time level must
+    be a coarse level, and both must share the x nodes (pass x_step, or
+    the two dt give two x grids).
     """
-    coarse = solve_system(problem, base, horizon, dt, **kw)
     fine = solve_system(problem, base, horizon, dt / 2.0, **kw)
+    if not np.array_equal(fine.t_nodes[::2], coarse.t_nodes):
+        raise ParameterError("coarse solve is not on every second level of the dt/2 solve")
+    if not np.array_equal(fine.x_grid.nodes(), coarse.x_grid.nodes()):
+        raise ParameterError("coarse and dt/2 solves have different x nodes")
     iv = coarse.trust.interval_at(horizon)
     xs = np.linspace(iv.lo, iv.hi, 201)
     diff = 0.0

@@ -1135,8 +1135,8 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
             if e == levels[-1]:
                 finals = sol.values(
                     2, np.array([-0.6, -0.3, 0.0, 0.3, 0.6]), spec.horizon)
-        est = halving_error_estimate(sys_ref.problem, base, spec.horizon,
-                                     spec.dt, component=2,
+        est = halving_error_estimate(sys_ref.problem, sol_ref, base,
+                                     spec.horizon, spec.dt, component=2,
                                      x_step=spec.x_step)
         return gaps, est, sup_speed, finals
 

@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -9,7 +11,8 @@ from roughwave.errors import (
     ParameterError,
     ShapeMismatchError,
 )
-from roughwave.fields import sample_brownian_1d
+from roughwave import hypsolve
+from roughwave.fields import SampledProcess, sample_brownian_1d
 from roughwave.grids import Grid1D
 from roughwave.hypsolve import (
     GENERAL_PATH_BYTE_CAP,
@@ -21,11 +24,18 @@ from roughwave.hypsolve import (
     transport_t_only,
     wave_to_system,
 )
-from roughwave.mollify import build_mollifier, embed_derivative, embed_path
+from roughwave.mollify import (
+    EmbeddedField1D,
+    build_mollifier,
+    embed_derivative,
+    embed_path,
+)
 from roughwave.smooth import (
     AnalyticField1D,
     AnalyticField2D,
+    CallableField1D,
     ConstantField2D,
+    FromX,
     Interval,
     ZERO_2D,
     constant_field_1d,
@@ -385,10 +395,127 @@ def test_geometric_wave_with_initial_velocity():
 
 def test_halving_error_estimate():
     prob = single(ZERO_2D, coupling=ConstantField2D(1.0), data=constant_field_1d(1.0))
-    est = halving_error_estimate(prob, Interval(-1.0, 1.0), horizon=1.0, dt=0.02)
+    base = Interval(-1.0, 1.0)
+    sol = solve_system(prob, base, horizon=1.0, dt=0.02, x_step=0.02)
+    est = halving_error_estimate(prob, sol, base, horizon=1.0, dt=0.02, x_step=0.02)
     # trapezoid exponential: known discrete values at both resolutions
     k = 50
     coarse = ((2.0 + 0.02) / (2.0 - 0.02)) ** k
     fine = ((2.0 + 0.01) / (2.0 - 0.01)) ** (2 * k)
     assert est == pytest.approx(abs(coarse - fine), rel=1e-6)
     assert est < 1e-4
+
+
+def smoothed_speed():
+    # 1.5 + 0.3 sin x on a grid, smoothed at scale 0.2: an EmbeddedField1D
+    # speed that stays away from zero
+    grid = Grid1D.from_bounds(-4.0, 4.0, 321)
+    path = SampledProcess(grid, 1.5 + 0.3 * np.sin(grid.nodes()), 0, "test-speed")
+    return EmbeddedField1D(path, build_mollifier(moments=2), 0.2)
+
+
+BUMP = AnalyticField1D([lambda x: np.exp(-4.0 * x**2)])
+BUMP_SLOPE = AnalyticField1D([lambda x: -8.0 * x * np.exp(-4.0 * x**2)])
+
+
+def bump_wave(speed):
+    return wave_to_system(speed, BUMP, BUMP_SLOPE, ZERO_1D)
+
+
+def test_halving_estimate_reuses_the_coarse_solve():
+    # the caller's coarse solve gives the float that two fresh solves give
+    prob = bump_wave(FromX(smoothed_speed())).problem
+    base = Interval(-1.0, 1.0)
+    coarse = solve_system(prob, base, 0.2, 0.02, x_step=0.04)
+    est = halving_error_estimate(prob, coarse, base, 0.2, 0.02, component=2, x_step=0.04)
+    a_sol = solve_system(prob, base, 0.2, 0.02, x_step=0.04)
+    b_sol = solve_system(prob, base, 0.2, 0.01, x_step=0.04)
+    iv = a_sol.trust.interval_at(0.2)
+    xs = np.linspace(iv.lo, iv.hi, 201)
+    want = max(
+        float(np.max(np.abs(a_sol.values(2, xs, t) - b_sol.values(2, xs, t))))
+        for t in a_sol.t_nodes[1:]
+    )
+    assert est == want
+    assert est > 0.0
+
+
+@pytest.mark.parametrize(
+    "coarse_kw, kw",
+    [
+        ({"dt": 0.04, "x_step": 0.04}, {"x_step": 0.04}),  # dt differs
+        ({"dt": 0.02, "x_step": 0.05}, {"x_step": 0.04}),  # x_step differs
+        ({"dt": 0.02}, {}),  # dt-derived x steps differ
+    ],
+)
+def test_halving_estimate_refuses_off_lattice_coarse_solve(coarse_kw, kw):
+    prob = single(ConstantField2D(0.5), coupling=ConstantField2D(-0.3))
+    base = Interval(-1.0, 1.0)
+    coarse = solve_system(prob, base, 0.2, **coarse_kw)
+    with pytest.raises(ParameterError):
+        halving_error_estimate(prob, coarse, base, 0.2, 0.02, **kw)
+
+
+def test_wave_couplings_evaluate_the_speed_once_per_block(monkeypatch):
+    # the two couplings and the datum of a row read lam (and the couplings
+    # lam_x) at the same feet: per feet block and component, one
+    # EmbeddedField1D.values call per order
+    calls = []
+    component = [None]
+    values = EmbeddedField1D.values
+    along_feet = hypsolve._along_feet
+
+    def counted(self, x, order=0):
+        if component[0] is not None:
+            calls.append((component[0], order, np.asarray(x).tobytes()))
+        return values(self, x, order)
+
+    def marked(fields, datum, feet, t_nodes):
+        # a component's deepest feet block tells it from the other one
+        component[0] = feet[-1].tobytes()
+        try:
+            return along_feet(fields, datum, feet, t_nodes)
+        finally:
+            component[0] = None
+
+    monkeypatch.setattr(EmbeddedField1D, "values", counted)
+    monkeypatch.setattr(hypsolve, "_along_feet", marked)
+    sol = bump_wave(FromX(smoothed_speed())).solve(
+        Interval(-1.0, 1.0), horizon=0.2, dt=0.02, x_step=0.05
+    )
+    per_block = Counter(calls)
+    n_blocks = len(sol.t_nodes)
+    # components v and w, each with its blocks, at orders 0 and 1
+    assert len(per_block) == 2 * n_blocks * 2
+    assert max(per_block.values()) == 1
+
+
+def test_wave_datum_reads_a_time_dependent_speed_at_rest():
+    # the characteristic data u1 -+ lam(x, 0) u0' take lam from the
+    # couplings' level-0 column; with a speed that varies in t the solve
+    # must equal one whose data evaluate lam afresh
+    lam = AnalyticField2D({
+        (0, 0): lambda x, t: 1.0 + 0.2 * np.sin(x) + 0.3 * t,
+        (1, 0): lambda x, t: 0.2 * np.cos(x) + 0.0 * t,
+        (0, 1): lambda x, t: 0.3 + 0.0 * x,
+    })
+    prob = bump_wave(lam).problem
+
+    def fresh(sign):
+        def fn(x):
+            return ZERO_1D.values(x) + sign * lam.values(x, np.zeros_like(x)) * BUMP_SLOPE.values(x)
+
+        return CallableField1D(fn, domain=prob.data[0].domain)
+
+    plain = HyperbolicProblem(
+        prob.speeds, prob.coupling, prob.forcing, [fresh(-1.0), fresh(+1.0), BUMP]
+    )
+    base = Interval(-2.0, 2.0)
+    got = solve_system(prob, base, horizon=0.3, dt=0.02, x_step=0.05)
+    want = solve_system(plain, base, horizon=0.3, dt=0.02, x_step=0.05)
+    for a, b in zip(got.tables, want.tables):
+        np.testing.assert_array_equal(a, b)
+    # a coupling query at t != 0 on the same x leaves the datum at t = 0
+    xs = np.linspace(-1.0, 1.0, 5)[:, None]
+    prob.coupling[0][0].values(xs, np.full_like(xs, 0.25))
+    np.testing.assert_array_equal(prob.data[0].values(xs[:, 0]), fresh(-1.0).values(xs[:, 0]))
