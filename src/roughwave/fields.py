@@ -13,7 +13,6 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.signal import lfilter
 from scipy.special import ndtr
 
 from .errors import (
@@ -222,6 +221,7 @@ def ou_process(grid: Grid1D, theta: float, sigma: float, seed: int) -> SampledPr
     innov_sd = np.sqrt(var_stat * (1.0 - phi**2))
     drive = innov_sd * rng.standard_normal(grid.count)
     drive[0] = np.sqrt(var_stat) / innov_sd * drive[0]
+    from scipy.signal import lfilter  # slow to import; no scenario needs it
     path = lfilter([1.0], [1.0, -phi], drive)
     return SampledProcess(grid, path, seed, "ou")
 

@@ -35,12 +35,14 @@ from functools import lru_cache
 
 import numpy as np
 from numpy.polynomial import Polynomial
-from scipy.signal import fftconvolve
 from scipy.special import expit
 
 from .errors import DomainError, ParameterError, ResolutionError, ScaleError
 from .fields import SampledField2D, SampledProcess
 from .smooth import Field1D, Field2D, Interval, Rect
+
+# scipy.signal is imported inside the .table methods: it is slow to import
+# and no scenario run tabulates a field
 
 _ALLOWED_MOMENTS = (0, 2, 4, 6)
 _SCALE_MAPS = ("identity", "log", "loglog")
@@ -380,6 +382,7 @@ class EmbeddedField1D(Field1D):
             if v.size <= 1024 and v.size <= p.size:
                 conv = np.convolve(p, v, mode="same")
             else:
+                from scipy.signal import fftconvolve
                 conv = fftconvolve(p, v, mode="same")
             self._tables[k] = conv * self.process.grid.step
         return self._tables[k]
@@ -441,6 +444,7 @@ class EmbeddedField2D(Field2D):
         return (out * self.process.grid.cell_measure).reshape(shape)
 
     def table(self, dx: int = 0, dt: int = 0) -> np.ndarray:
+        from scipy.signal import fftconvolve
         kern = np.outer(self._x.kernel_row(dx), self._t.kernel_row(dt))
         conv = fftconvolve(self.process.values, kern, mode="same")
         return conv * self.process.grid.cell_measure

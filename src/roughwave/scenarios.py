@@ -322,9 +322,32 @@ def cone_average_tab(mol: Mollifier, point: tuple, eps: float,
     The time integral is done per source time over the kernel window
     clipped to [0, t0], with the space direction resolved through the
     cumulative kernel (exact for the piecewise-linear tabulation).
+
+    Only the bounding box of rows and columns where a term can be nonzero
+    is computed; every other entry is exactly 0.  A column with an empty
+    time window (span 0) is scaled to 0.  In the other columns the cone
+    half-width lies in [0, t0], so a row with |ys - x0| >= t0 + r puts
+    both cumulatives beyond the kernel support on the same side (both 0
+    or both the mass) and contributes exactly 0; the box keeps one more
+    radius of rows so that rounding in the shifted arguments cannot
+    matter.  The box is contiguous because ``ys`` and ``ss`` are
+    ascending.
     """
     x0, t0 = point
     r = mol.support_radius(eps)
+    out = np.zeros((ys.size, ss.size))
+    a = np.maximum(0.0, ss - r)
+    b = np.minimum(t0, ss + r)
+    span = np.maximum(b - a, 0.0)
+    rows = np.flatnonzero(np.abs(ys - x0) < t0 + 2.0 * r)
+    cols = np.flatnonzero(span > 0.0)
+    if rows.size == 0 or cols.size == 0:
+        return out
+    box_rows = slice(rows[0], rows[-1] + 1)
+    box_cols = slice(cols[0], cols[-1] + 1)
+    dy = (ys[box_rows] - x0)[:, None]
+    ss, a, span = ss[box_cols], a[box_cols], span[box_cols]
+
     zs, cum = kernel_cumulative(mol, eps)
     mass = cum[-1]
 
@@ -334,18 +357,15 @@ def cone_average_tab(mol: Mollifier, point: tuple, eps: float,
     n = quad_nodes
     w_quad = simpson_weights(n)
     theta = np.linspace(0.0, 1.0, n)
-    out = np.zeros((ys.size, ss.size))
-    a = np.maximum(0.0, ss - r)
-    b = np.minimum(t0, ss + r)
-    span = np.maximum(b - a, 0.0)
+    box = out[box_rows, box_cols]
     for q in range(n):
         sig = a + theta[q] * span                        # (ns,)
         kt = mol.kernel_values(ss - sig, eps, 0) * w_quad[q]
         half = t0 - sig                                # cone half-width at sig
-        upper = cum_at(ys[:, None] - x0 + half[None, :])
-        lower = cum_at(ys[:, None] - x0 - half[None, :])
-        out += kt[None, :] * (upper - lower)
-    out *= span[None, :] / (3.0 * (n - 1))
+        upper = cum_at(dy + half[None, :])
+        lower = cum_at(dy - half[None, :])
+        box += kt[None, :] * (upper - lower)
+    box *= span[None, :] / (3.0 * (n - 1))
     return out
 
 
@@ -662,8 +682,22 @@ class AdditiveNoiseSpec:
     cauchy_point: tuple = (0.0, 1.0)
 
     def __post_init__(self):
+        for name in ("eps", "cell_factor", "z_bound"):
+            if not getattr(self, name) > 0.0:
+                raise ParameterError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+        if self.n_samples < 2:
+            raise ParameterError(f"n_samples must be >= 2 for a standard "
+                                 f"error, got {self.n_samples}")
+        if self.quad_nodes < 3 or self.quad_nodes % 2 == 0:
+            raise ParameterError(f"quad_nodes must be odd and >= 3 for the "
+                                 f"Simpson rule, got {self.quad_nodes}")
+        if self.cauchy_ladder.count < 2:
+            raise ParameterError(
+                f"cauchy_ladder count must be >= 2: the spot check pairs its "
+                f"two finest levels, got {self.cauchy_ladder.count}")
         n = len(self.points)
-        for x_t in self.points:
+        for x_t in (*self.points, self.cauchy_point):
             if len(x_t) != 2 or not x_t[1] > 0.0:
                 raise ParameterError(f"point {x_t} must be a pair (x, t) with t > 0")
         if not self.overlap_pairs:

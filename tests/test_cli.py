@@ -1,8 +1,11 @@
 import os
+import subprocess
+import sys
 
 import pytest
 import yaml
 
+import roughwave
 from roughwave.cli import RunConfig, main, parse_config
 from roughwave.errors import ConfigError
 from roughwave.scenarios import SCENARIOS, CalibrationSpec
@@ -187,6 +190,33 @@ def test_cli_overlapping_disjoint_pair_is_config_error(capsys, tmp_path):
                         "additive-noise-wave": {"disjoint_pair": [0, 0]}})
     assert main([cfg, "--output-dir", str(tmp_path / "out")]) == 2
     assert "disjoint pair" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"quad_nodes": 128}, "quad_nodes must be odd"),
+    ({"eps": -0.02}, "eps must be positive"),
+    ({"cell_factor": 0.0}, "cell_factor must be positive"),
+    ({"n_samples": 1}, "n_samples must be >= 2"),
+], ids=["quad-nodes-even", "eps-negative", "cell-factor-zero", "one-sample"])
+def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
+                                                           overrides, message):
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": "additive-noise-wave", "master_seed": 1,
+                        "additive-noise-wave": overrides})
+    outdir = tmp_path / "out"
+    assert main([cfg, "--output-dir", str(outdir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
+def test_cli_import_leaves_scipy_signal_unloaded():
+    # scipy.signal is slow to import and only field tabulation needs it
+    src = os.path.dirname(os.path.dirname(roughwave.__file__))
+    code = "import sys, roughwave.cli; print('scipy.signal' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], check=True,
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "False"
 
 
 def test_cli_unknown_curve_is_config_error(capsys, tmp_path):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from roughwave.errors import EmptyDomainError, ParameterError
-from roughwave.mollify import build_mollifier
+from roughwave.mollify import EpsLadder, build_mollifier
 from roughwave.scenarios import (
     AdditiveNoiseSpec,
     GeometricSpec,
@@ -23,7 +23,9 @@ from roughwave.scenarios import (
     run_ogawa,
     run_random_speed_wave,
     write_report,
+    _slab_grid,
 )
+from roughwave.smooth import simpson_weights
 
 from conftest import MASTER_SEED
 
@@ -154,6 +156,84 @@ def test_cone_average_tab_interior_and_exterior():
                            np.array([0.0, 5.0]), np.array([0.3, 0.3]))
     assert tab[0, 0] == pytest.approx(1.0, abs=1e-9)   # deep inside the cone
     assert tab[1, 0] == 0.0                            # far outside
+
+
+def _reference_cone_tab(mol, point, eps, ys, ss, quad_nodes=129):
+    """The quadrature loop over the whole slab, without the bounding box."""
+    x0, t0 = point
+    r = mol.support_radius(eps)
+    zs, cum = kernel_cumulative(mol, eps)
+    mass = cum[-1]
+
+    def cum_at(w):
+        return np.interp(w, zs, cum, left=0.0, right=mass)
+
+    n = quad_nodes
+    w_quad = simpson_weights(n)
+    theta = np.linspace(0.0, 1.0, n)
+    out = np.zeros((ys.size, ss.size))
+    a = np.maximum(0.0, ss - r)
+    b = np.minimum(t0, ss + r)
+    span = np.maximum(b - a, 0.0)
+    for q in range(n):
+        sig = a + theta[q] * span
+        kt = mol.kernel_values(ss - sig, eps, 0) * w_quad[q]
+        half = t0 - sig
+        upper = cum_at(ys[:, None] - x0 + half[None, :])
+        lower = cum_at(ys[:, None] - x0 - half[None, :])
+        out += kt[None, :] * (upper - lower)
+    out *= span[None, :] / (3.0 * (n - 1))
+    return out
+
+
+def _centers(grid):
+    return grid.x.cell_centers(), grid.t.cell_centers()
+
+
+def test_cone_average_tab_bitwise_equal_full_slab_on_scenario_slabs():
+    # the additive-noise benchmark sizes: eps 0.02, Cauchy ladder
+    # 0.16 * 0.5**k for k < 4, so the spot pair is (0.04, 0.02)
+    spec = AdditiveNoiseSpec(master_seed=1)
+    eps, spot_hi, h = 0.02, 0.04, 0.01
+    pad = MOL.support_radius(spot_hi) + 2.0 * h
+    ys, ss = _centers(_slab_grid(
+        min(x - t for x, t in spec.points), max(x + t for x, t in spec.points),
+        max(t for _, t in spec.points), pad, h))
+    cases = [(p, eps) for p in spec.points] + [(spec.cauchy_point, spot_hi)]
+    for point, e in cases:
+        assert np.array_equal(cone_average_tab(MOL, point, e, ys, ss),
+                              _reference_cone_tab(MOL, point, e, ys, ss))
+    # the coarsest Cauchy level, whose kernel radius exceeds the cone height
+    xc, tc = spec.cauchy_point
+    assert MOL.support_radius(0.16) > tc
+    ys_c, ss_c = _centers(_slab_grid(xc - tc, xc + tc, tc,
+                                     MOL.support_radius(0.16) + 2.0 * h, h))
+    assert np.array_equal(
+        cone_average_tab(MOL, spec.cauchy_point, 0.16, ys_c, ss_c),
+        _reference_cone_tab(MOL, spec.cauchy_point, 0.16, ys_c, ss_c))
+
+
+@pytest.mark.parametrize("point, ys, ss, empty", [
+    # cone cut by the right and top edges of the slab
+    ((0.9, 1.0), np.linspace(-0.6, 1.0, 81), np.linspace(-0.1, 0.6, 36),
+     False),
+    # one-element slabs: inside, on the cone's edge, and far outside
+    ((0.0, 1.0), np.array([0.3]), np.array([0.3]), False),
+    ((0.0, 1.0), np.array([0.5]), np.array([0.5]), False),
+    ((0.0, 1.0), np.array([5.0]), np.array([0.3]), True),
+    # cones that miss the slab: beside it, and below its earliest time
+    ((10.0, 0.5), np.linspace(-1.0, 1.0, 41), np.linspace(0.0, 1.0, 21),
+     True),
+    ((0.0, 0.5), np.linspace(-1.0, 1.0, 41), np.linspace(2.0, 3.0, 21),
+     True),
+], ids=["edge-cut", "one-inside", "one-edge", "one-outside", "miss-beside",
+        "miss-below"])
+def test_cone_average_tab_bitwise_equal_full_slab(point, ys, ss, empty):
+    eps = 0.04
+    got = cone_average_tab(MOL, point, eps, ys, ss)
+    assert got.shape == (ys.size, ss.size)
+    assert np.array_equal(got, _reference_cone_tab(MOL, point, eps, ys, ss))
+    assert got.any() != empty
 
 
 # ----------------------------------------------------------- calibration
@@ -287,8 +367,21 @@ def test_geometric_rejects_unknown_curve():
     ({"disjoint_pair": (0, 0)}, "overlap"),
     ({"points": ((0.0, 1.0), (0.5, 0.0), (2.5, 1.0)),
       "overlap_pairs": ((0, 1),), "disjoint_pair": (0, 2)}, "t > 0"),
+    ({"eps": -0.02}, "eps must be positive"),
+    ({"eps": 0.0}, "eps must be positive"),
+    ({"n_samples": 1}, "n_samples must be >= 2"),
+    ({"cell_factor": 0.0}, "cell_factor must be positive"),
+    ({"quad_nodes": 128}, "quad_nodes must be odd"),
+    ({"quad_nodes": 1}, "quad_nodes must be odd and >= 3"),
+    ({"z_bound": 0.0}, "z_bound must be positive"),
+    ({"cauchy_point": (0.0, 0.0)}, "t > 0"),
+    ({"cauchy_point": (0.0,)}, "t > 0"),
+    ({"cauchy_ladder": EpsLadder(0.16, 0.5, 1)}, "cauchy_ladder count"),
 ], ids=["empty-overlap", "overlap-index", "disjoint-index",
-        "overlap-zero-area", "disjoint-overlapping", "point-t"])
+        "overlap-zero-area", "disjoint-overlapping", "point-t",
+        "eps-negative", "eps-zero", "one-sample", "cell-factor-zero",
+        "quad-nodes-even", "quad-nodes-one", "z-bound-zero",
+        "cauchy-point-t", "cauchy-point-length", "cauchy-ladder-one-level"])
 def test_additive_spec_rejects_meaningless_pairs(overrides, message):
     with pytest.raises(ParameterError, match=message):
         AdditiveNoiseSpec(master_seed=1, **overrides)
