@@ -1,9 +1,9 @@
 """Growth measurement and classification along a smoothing ladder.
 
 Families of fields indexed by the ladder parameter are summarized by
-sup-norms (pathwise or in L^p over the sample space), the resulting
-series are fitted against the standard growth laws, and weak limits are
-compared with reference functions by quadrature pairing.
+sup-norms (pathwise or in L^p over the sample space), and the resulting
+series are fitted against the standard growth laws.  The two
+injectivity counterexample families come with exact moments.
 """
 
 from __future__ import annotations
@@ -12,31 +12,20 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .errors import DomainError, ParameterError
-from .mollify import EpsLadder
-from .smooth import Field1D, Interval
+from .smooth import Interval
 
 __all__ = [
     "NormDescriptor",
     "EpsSeries",
     "Classification",
-    "Probe",
-    "AssociationReport",
-    "MomentTable",
-    "CovarianceEstimate",
     "ExponentialTailFamily",
     "SlidingSpikeFamily",
     "measure_series",
-    "interchange_check",
     "norm_interchange",
     "classify",
-    "association_check",
-    "moment_field",
-    "autocovariance",
     "counterexample_families",
-    "series_rows",
     "format_classification",
 ]
 
@@ -186,17 +175,6 @@ def norm_interchange(samples: np.ndarray, p: float) -> tuple[float, float]:
     return lhs, rhs
 
 
-def interchange_check(factory, window: Interval, order: int, p: float,
-                      eps: float, n_samples: int = 200,
-                      seed0: int = 0) -> tuple[float, float]:
-    """Evaluate one family at one level and return both norm orderings."""
-    xs = _dense_window(window, eps)
-    rows = np.empty((n_samples, xs.size))
-    for i in range(n_samples):
-        rows[i] = factory(eps, seed0 + i).values(xs, order)
-    return norm_interchange(rows, p)
-
-
 def _rel_residual(y: np.ndarray, y_hat: np.ndarray) -> float:
     # log-space RMS misfit, itself a relative-error scale
     return float(np.sqrt(np.mean((y - y_hat) ** 2)))
@@ -261,123 +239,6 @@ def classify(series: EpsSeries, b_max: int = DEFAULT_B_MAX) -> Classification:
     if r_log <= best + 1e-12:
         return Classification("log-type", c_log, r_log)
     return Classification("moderate", float(a_fit), r_power)
-
-
-@dataclass(frozen=True)
-class Probe:
-    """Compactly supported pairing function for weak-limit checks."""
-
-    fn: object
-    support: Interval
-
-    def values(self, xs: np.ndarray) -> np.ndarray:
-        return np.asarray(self.fn(xs), dtype=float)
-
-
-@dataclass(frozen=True)
-class AssociationReport:
-    epsilons: np.ndarray
-    gaps: np.ndarray
-    tol: float
-
-    @property
-    def converged(self) -> bool:
-        return bool(self.gaps[-1] <= self.tol)
-
-
-def _pair_grid(support: Interval, eps: float) -> np.ndarray:
-    # Simpson needs an odd count; floor keeps quadrature error below
-    # the pairing gaps being measured
-    width = support.hi - support.lo
-    count = max(int(math.ceil(width / (eps / SUP_REFINE))) + 1, 2049)
-    return np.linspace(support.lo, support.hi, count | 1)
-
-
-def _reference_term(reference, xs: np.ndarray, psi: np.ndarray) -> float:
-    if hasattr(reference, "pair"):
-        return float(reference.pair(psi, xs))
-    if hasattr(reference, "values"):
-        vals = reference.values(xs, 0)
-    else:
-        vals = np.asarray(reference(xs), dtype=float)
-    return float(simpson(vals * psi, x=xs))
-
-
-def association_check(factory, reference, probes, ladder,
-                      n_samples: int = 1, tol: float = 1e-3,
-                      seed0: int = 0) -> AssociationReport:
-    """Pair (u_level - reference) against each probe along the ladder.
-
-    Gap per level is the worst probe's |E integral (u - v) psi dx|, the
-    expectation taken over n_samples seeds (1 for deterministic
-    families).  reference is a field, a plain callable, or an object
-    with .pair(psi_values, xs) for genuine distribution actions.
-    """
-    eps = _levels_of(ladder)
-    if not probes:
-        raise ParameterError("association_check needs at least one probe")
-    gaps = np.zeros(eps.size)
-    for k, level in enumerate(eps):
-        worst = 0.0
-        for probe in probes:
-            xs = _pair_grid(probe.support, level)
-            psi = probe.values(xs)
-            ref = _reference_term(reference, xs, psi)
-            acc = 0.0
-            for i in range(n_samples):
-                u = factory(level, seed0 + i)
-                acc += float(simpson(u.values(xs, 0) * psi, x=xs))
-            worst = max(worst, abs(acc / n_samples - ref))
-        gaps[k] = worst
-    return AssociationReport(eps, gaps, tol)
-
-
-@dataclass(frozen=True)
-class MomentTable:
-    points: np.ndarray
-    mean: np.ndarray
-    se: np.ndarray
-
-
-def moment_field(factory, p: int, points, n_samples: int = 1000,
-                 seed0: int = 0) -> MomentTable:
-    """Monte Carlo E(u^p) on a point set with per-point standard errors."""
-    if int(p) != p or p < 1:
-        raise ParameterError(f"moment order must be an integer >= 1, got {p}")
-    if n_samples < 100:
-        raise ParameterError(f"moment_field needs >= 100 samples, got {n_samples}")
-    pts = np.asarray(points, dtype=float)
-    rows = np.empty((n_samples, pts.size))
-    for i in range(n_samples):
-        rows[i] = np.asarray(factory(seed0 + i)(pts), dtype=float) ** p
-    mean = rows.mean(axis=0)
-    se = rows.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    return MomentTable(pts, mean, se)
-
-
-@dataclass(frozen=True)
-class CovarianceEstimate:
-    points: tuple
-    matrix: np.ndarray
-    se: np.ndarray
-
-
-def autocovariance(factory, points, n_samples: int = 1000,
-                   seed0: int = 0) -> CovarianceEstimate:
-    """Sample covariance of u at (x, t) pairs, symmetric by construction."""
-    if n_samples < 100:
-        raise ParameterError(f"autocovariance needs >= 100 samples, got {n_samples}")
-    pts = tuple(points)
-    xs = np.array([p[0] for p in pts])
-    ts = np.array([p[1] for p in pts])
-    rows = np.empty((n_samples, len(pts)))
-    for i in range(n_samples):
-        rows[i] = np.asarray(factory(seed0 + i)(xs, ts), dtype=float)
-    matrix = np.atleast_2d(np.cov(rows, rowvar=False, ddof=1))
-    centered = rows - rows.mean(axis=0)
-    prods = centered[:, :, None] * centered[:, None, :]
-    se = prods.std(axis=0, ddof=1) / math.sqrt(n_samples)
-    return CovarianceEstimate(pts, matrix, se)
 
 
 class ExponentialTailFamily:
@@ -470,11 +331,6 @@ class SlidingSpikeFamily:
 def counterexample_families(p_prime: float = 2.0):
     """The two injectivity counterexample families with exact moments."""
     return ExponentialTailFamily(p_prime), SlidingSpikeFamily()
-
-
-def series_rows(series: EpsSeries):
-    """Plot-ready (level, measurement) rows."""
-    return list(zip(series.epsilons.tolist(), series.measurements.tolist()))
 
 
 def format_classification(c: Classification) -> str:

@@ -214,8 +214,7 @@ class DeterminacyTrapezoid:
     """Shrinking influence region over a base interval.
 
     At time t the determined interval is the base shrunk by
-    speed_bound * |t| from both ends.  Symmetric in t, so backward
-    solves reuse the same object.
+    speed_bound * |t| from both ends.
     """
 
     base: Interval

@@ -46,7 +46,6 @@ from scipy.integrate import cumulative_trapezoid
 
 from .characteristics import (
     ROUGH_STEP_FRACTION,
-    DeterminacyTrapezoid,
     determinacy_domain,
     flow_levels,
 )
@@ -309,7 +308,6 @@ def solve_system(
     x_step: float | None = None,
     tol: float = 1e-10,
     max_iter: int = 80,
-    two_sided: bool = False,
 ) -> SolutionField:
     """Global Picard solve over the determinacy trapezoid of `base`.
 
@@ -320,8 +318,6 @@ def solve_system(
     after convergence must stay below AUDIT_FACTOR * tol, which guards
     against a lucky small step masquerading as a fixed point.
     """
-    if two_sided:
-        return _solve_two_sided(problem, base, horizon, dt, x_step, tol, max_iter)
     if dt <= 0.0 or horizon <= 0.0:
         raise ParameterError("dt and horizon must be positive")
     n_levels = max(1, int(round(horizon / dt)))
@@ -406,61 +402,6 @@ def solve_system(
         iterations=sweep_no + 1,
         gaps=gaps,
         audit_gap=audit,
-    )
-
-
-class _TimeReflected(Field2D):
-    """Coefficient field under t -> -t, negated: -f(x, -t)."""
-
-    def __init__(self, f: Field2D):
-        self._f = f
-        d = f.domain
-        self.domain = type(d)(d.x, Interval(-d.t.hi, -d.t.lo))
-        self.t_independent = getattr(f, "t_independent", False)
-        self.scale = getattr(f, "scale", None)
-
-    def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
-        if dx or dt:
-            raise ParameterError("reflected fields serve value queries only")
-        t = np.asarray(t, dtype=float)
-        return -self._f.values(x, -t)
-
-
-def _reflect_problem(problem: HyperbolicProblem) -> HyperbolicProblem:
-    # under tau = -t the transport operator flips sign: speeds, coupling
-    # and forcing all negate (and read their fields at -tau)
-    ref = lambda f: None if f is None else _TimeReflected(f)
-    return HyperbolicProblem(
-        speeds=[_TimeReflected(s) for s in problem.speeds],
-        coupling=[[ref(c) for c in row] for row in problem.coupling],
-        forcing=[ref(g) for g in problem.forcing],
-        data=problem.data,
-    )
-
-
-def _solve_two_sided(problem, base, horizon, dt, x_step, tol, max_iter):
-    fwd = solve_system(problem, base, horizon, dt, x_step, tol, max_iter)
-    bwd = solve_system(
-        _reflect_problem(problem), base, horizon, dt, x_step, tol, max_iter
-    )
-    t_nodes = np.concatenate([-bwd.t_nodes[:0:-1], fwd.t_nodes])
-    tables = [
-        np.concatenate([bwd.tables[i][:, :0:-1], fwd.tables[i]], axis=1)
-        for i in range(problem.size)
-    ]
-    trust = DeterminacyTrapezoid(
-        base=base,
-        speed_bound=max(fwd.trust.speed_bound, bwd.trust.speed_bound),
-        horizon=horizon,
-    )
-    return SolutionField(
-        x_grid=fwd.x_grid,
-        t_nodes=t_nodes,
-        tables=tables,
-        trust=trust,
-        iterations=max(fwd.iterations, bwd.iterations),
-        gaps=np.concatenate([fwd.gaps, bwd.gaps]),
-        audit_gap=max(fwd.audit_gap, bwd.audit_gap),
     )
 
 
@@ -644,7 +585,6 @@ def gronwall_check(
     Returns (lhs_curve, rhs_curve, ok).
     """
     tn = sol.t_nodes
-    tn = tn[tn >= 0.0]
     lhs = np.empty(len(tn))
     f_norm = np.empty(len(tn))
     g_norm = np.empty(len(tn))

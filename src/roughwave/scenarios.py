@@ -182,10 +182,19 @@ def _echo(spec) -> dict:
     return out
 
 
+def _worst(values) -> float:
+    """Largest of values and 0, or NaN when any value is NaN.
+
+    The builtin max drops a NaN that follows a number (max(0.0, nan) is
+    0.0), which would turn an undefined z-score into a passing check.
+    """
+    return float(np.max([0.0, *values]))
+
+
 def _interchange(label: str, values: np.ndarray) -> tuple:
     """Interchange rows at p = 2 and 4 for one sample matrix, and their check."""
     rows = [(label, p, *norm_interchange(values, p)) for p in (2.0, 4.0)]
-    worst = max(0.0, *(lhs - rhs for _, _, lhs, rhs in rows))
+    worst = _worst(lhs - rhs for _, _, lhs, rhs in rows)
     return rows, CheckResult("norm-interchange", worst <= 1e-12, worst, 0.0,
                              "sup of norms minus norm of sups, worst instance")
 
@@ -398,14 +407,13 @@ class CalibrationSpec:
 
 def _wave_sup_error(sol, exact: Callable, component: int = 2) -> float:
     xs = sol.x_grid.nodes()
-    sup = 0.0
+    gaps = []
     for k, t in enumerate(sol.t_nodes):
         m = sol.trust.contains(xs, t)
-        if not m.any():
-            continue
-        gap = np.abs(sol.tables[component][m, k] - exact(xs[m], t))
-        sup = max(sup, float(gap.max()))
-    return sup
+        if m.any():
+            gaps.append(np.abs(sol.tables[component][m, k]
+                               - exact(xs[m], t)).max())
+    return _worst(gaps)
 
 
 def run_calibration(spec: CalibrationSpec, jobs: int = 1) -> ScenarioReport:
@@ -498,6 +506,30 @@ class OgawaSpec:
     residual_step: float = 1e-3
     heat_gap_bound: float = 0.02
 
+    def __post_init__(self):
+        for name in ("eval_time", "data_halfwidth", "sigma_rel_tol",
+                     "sigma_z_bound", "mean_z_bound", "residual_step",
+                     "heat_gap_bound"):
+            if not getattr(self, name) > 0.0:
+                raise ParameterError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+        if not 0.0 < self.eps <= 1.0:
+            raise ParameterError(f"eps must lie in (0, 1], got {self.eps}")
+        if self.n_samples < 2:
+            raise ParameterError(f"n_samples must be >= 2 for a standard "
+                                 f"error, got {self.n_samples}")
+        if not self.check_times or not all(t > 0.0 for t in self.check_times):
+            raise ParameterError(f"check_times must be a non-empty list of "
+                                 f"positive times, got {self.check_times}")
+        if not self.probes:
+            raise ParameterError("probes is empty: the mean checks would "
+                                 "test no point")
+        need = build_mollifier().support_radius(self.eps) + 2.0 * self.eps
+        if not self.path_pad >= need:
+            raise ParameterError(
+                f"path_pad {self.path_pad} too small for eps {self.eps}: "
+                f"needs >= {need:.4f} to keep the kernel window on the path")
+
 
 def _heat_profile(spec: OgawaSpec, xs: np.ndarray, t: float,
                   n_nodes: int = 64) -> np.ndarray:
@@ -514,10 +546,6 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
     mol = build_mollifier()
     r = mol.support_radius(eps)
     step = eps / 8.0
-    if spec.path_pad < r + 16.0 * step:
-        raise ParameterError(
-            f"path_pad {spec.path_pad} too small for eps {eps}: needs "
-            f">= {r + 16.0 * step:.4f} to keep the kernel window on the path")
     t_hi = max(spec.eval_time, max(spec.check_times))
     pad_n = int(round(spec.path_pad / step))
     path_grid = Grid1D(-pad_n * step, step,
@@ -525,12 +553,10 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
 
     # deterministic spread prediction via tensor quadrature
     sigma_rows = []
-    worst_rel = 0.0
     for t in spec.check_times:
         q = pair_quadrature(t, t, mol, eps)
-        rel = abs(q - t) / t
-        worst_rel = max(worst_rel, rel)
-        sigma_rows.append([t, q, rel])
+        sigma_rows.append([t, q, abs(q - t) / t])
+    worst_rel = _worst(row[2] for row in sigma_rows)
     var_s = (pair_quadrature(spec.eval_time, spec.eval_time, mol, eps)
              - 2.0 * pair_quadrature(spec.eval_time, 0.0, mol, eps)
              + pair_quadrature(0.0, 0.0, mol, eps))
@@ -574,11 +600,9 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
                               "transport shift vs smoothed path displacement"))
 
     # Monte Carlo spread against the quadrature prediction
-    worst_z_sigma = 0.0
     for j, t in enumerate(spec.check_times):
-        m2, se, z = _mc_z(disps[:, j] ** 2, sigma_rows[j][1])
-        worst_z_sigma = max(worst_z_sigma, z)
-        sigma_rows[j].extend([m2, se, z])
+        sigma_rows[j].extend(_mc_z(disps[:, j] ** 2, sigma_rows[j][1]))
+    worst_z_sigma = _worst(row[-1] for row in sigma_rows)
     checks.append(CheckResult("spread-monte-carlo",
                               worst_z_sigma <= spec.sigma_z_bound,
                               worst_z_sigma, spec.sigma_z_bound,
@@ -604,11 +628,10 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
                               "quadrature vs closed-form averaged reference"))
 
     mean_rows = []
-    worst_z_mean = 0.0
     for j, x in enumerate(probes):
         mean, se, z = _mc_z(vals[:, j], ref[j])
-        worst_z_mean = max(worst_z_mean, z)
         mean_rows.append((x, mean, ref[j], closed[j], se, z))
+    worst_z_mean = _worst(row[-1] for row in mean_rows)
     checks.append(CheckResult("mean-vs-reference",
                               worst_z_mean <= spec.mean_z_bound,
                               worst_z_mean, spec.mean_z_bound,
@@ -767,22 +790,20 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
 
     checks = []
     moment_rows = []
-    worst_z_var = 0.0
     for j, (x, t) in enumerate(points):
         ref = 0.25 * t * t
         est, se, z = _mc_z(vals[:, j] ** 2, ref)
-        worst_z_var = max(worst_z_var, z)
         moment_rows.append(("var", x, t, x, t, est, ref, se, z))
+    worst_z_var = _worst(row[-1] for row in moment_rows)
     checks.append(CheckResult("variance-at-points",
                               worst_z_var <= spec.z_bound, worst_z_var,
                               spec.z_bound, "worst z vs t^2/4"))
 
-    worst_z_cov = 0.0
     for (i, j) in spec.overlap_pairs:
         ref = 0.25 * cone_overlap_area(points[i], points[j])
         est, se, z = _mc_z(vals[:, i] * vals[:, j], ref)
-        worst_z_cov = max(worst_z_cov, z)
         moment_rows.append(("cov", *points[i], *points[j], est, ref, se, z))
+    worst_z_cov = _worst(row[-1] for row in moment_rows[len(points):])
     checks.append(CheckResult("covariance-overlap",
                               worst_z_cov <= spec.z_bound, worst_z_cov,
                               spec.z_bound,
@@ -1068,6 +1089,36 @@ class RandomSpeedSpec:
     dalembert_tol: float = 1e-4
     field_halfwidth: float = 4.2
 
+    def __post_init__(self):
+        for name in ("speed_lo", "kappa", "horizon", "dt", "x_step",
+                     "slope_bound", "gap_ratio_bound", "dalembert_tol",
+                     "field_halfwidth"):
+            if not getattr(self, name) > 0.0:
+                raise ParameterError(
+                    f"{name} must be positive, got {getattr(self, name)}")
+        if not self.speed_hi > self.speed_lo:
+            raise ParameterError(f"speed_hi {self.speed_hi} must exceed "
+                                 f"speed_lo {self.speed_lo}")
+        for name in ("n_seeds", "n_features"):
+            if getattr(self, name) < 1:
+                raise ParameterError(
+                    f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.ladder.count < 2:
+            raise ParameterError(
+                f"ladder count must be >= 2: the gap check compares "
+                f"successive levels, got {self.ladder.count}")
+        r = build_mollifier().support_radius(float(self.ladder.levels()[0]))
+        if self.field_halfwidth - r < self.kappa:
+            raise ParameterError(
+                f"field_halfwidth {self.field_halfwidth} leaves the smoothed "
+                f"speed undefined on the base: needs >= kappa + "
+                f"{r:.4f} (kernel radius at the coarsest level)")
+        if self.kappa <= self.slope_bound * self.horizon:
+            raise EmptyDomainError(
+                f"base half-width {self.kappa} with speed bound "
+                f"{self.slope_bound} leaves no determinate set at time "
+                f"{self.horizon}")
+
 
 def _bump_data():
     u0 = AnalyticField1D([lambda x: np.exp(-np.asarray(x, float) ** 2),
@@ -1100,11 +1151,6 @@ def _speed_draw(spec: RandomSpeedSpec, index: int):
 def run_random_speed_wave(spec: RandomSpeedSpec,
                           jobs: int = 1) -> ScenarioReport:
     t_start = time.time()
-    if spec.kappa <= spec.slope_bound * spec.horizon:
-        raise EmptyDomainError(
-            f"base half-width {spec.kappa} with speed bound "
-            f"{spec.slope_bound} leaves no determinate set at time "
-            f"{spec.horizon}")
     mol = build_mollifier()
     base = Interval(-spec.kappa, spec.kappa)
     levels = spec.ladder.levels()
@@ -1158,14 +1204,13 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
             emb = EmbeddedField1D(lam_proc, mol, float(e))
             sol = wave_to_system(FromX(emb), u0, u0_slope, u1).solve(
                 base, spec.horizon, spec.dt, x_step=spec.x_step)
-            gap = 0.0
+            level_gaps = []
             for k, t in enumerate(sol.t_nodes):
                 m = sol.trust.contains(xs, t) & sol_ref.trust.contains(xs, t)
-                if not m.any():
-                    continue
-                d = np.abs(sol.tables[2][m, k] - sol_ref.tables[2][m, k])
-                gap = max(gap, float(d.max()))
-            gaps.append(gap)
+                if m.any():
+                    level_gaps.append(np.abs(sol.tables[2][m, k]
+                                             - sol_ref.tables[2][m, k]).max())
+            gaps.append(_worst(level_gaps))
             if e == levels[-1]:
                 finals = sol.values(
                     2, np.array([-0.6, -0.3, 0.0, 0.3, 0.6]), spec.horizon)
@@ -1178,18 +1223,15 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
 
     rows = []
     n_mono = 0
-    worst_ratio = 0.0
-    worst_speed = 0.0
     finals = []
     for idx, (gaps, est, sup_speed, fin) in enumerate(results):
         mono = _strictly_decreasing(gaps)
         n_mono += int(mono)
-        ratio = gaps[-1] / est
-        worst_ratio = max(worst_ratio, ratio)
-        worst_speed = max(worst_speed, sup_speed)
         finals.append(fin)
         for k, e in enumerate(levels):
             rows.append((idx, float(e), gaps[k], est, sup_speed, int(mono)))
+    worst_ratio = _worst(gaps[-1] / est for gaps, est, _, _ in results)
+    worst_speed = _worst(sup_speed for _, _, sup_speed, _ in results)
     checks.append(CheckResult("gap-decreasing-every-seed",
                               n_mono == spec.n_seeds, float(n_mono),
                               float(spec.n_seeds),

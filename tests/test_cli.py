@@ -209,6 +209,26 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
     assert not outdir.exists()
 
 
+@pytest.mark.parametrize("scenario, overrides, message", [
+    ("random-speed-wave", {"speed_lo": -1.0}, "speed_lo must be positive"),
+    ("random-speed-wave", {"kappa": 1.0}, "no determinate set"),
+    ("ogawa", {"eps": -0.01}, "eps must lie in"),
+    ("ogawa", {"check_times": []}, "check_times must be"),
+    ("ogawa", {"n_samples": 1}, "n_samples must be >= 2"),
+], ids=["speed-lo-negative", "empty-domain", "ogawa-eps-negative",
+        "ogawa-no-check-times", "ogawa-one-sample"])
+def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
+                                                       scenario, overrides,
+                                                       message):
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": scenario, "master_seed": 1,
+                        scenario: overrides})
+    outdir = tmp_path / "out"
+    assert main([cfg, "--output-dir", str(outdir)]) == 2
+    assert message in capsys.readouterr().err
+    assert not outdir.exists()
+
+
 def test_cli_import_leaves_scipy_signal_unloaded():
     # scipy.signal is slow to import and only field tabulation needs it
     src = os.path.dirname(os.path.dirname(roughwave.__file__))
@@ -267,10 +287,13 @@ def test_cli_rerun_identical_csv_bytes(tmp_path, capsys):
 
 
 def test_cli_empty_domain_recorded(capsys, tmp_path):
+    # the spec's kappa check trusts slope_bound; the unit-speed d'Alembert
+    # member is faster than 0.5, so its domain collapses at run time
     cfg = write_config(tmp_path / "run.yaml",
                        {"scenario": "random-speed-wave",
                         "master_seed": MASTER_SEED,
-                        "random-speed-wave": {"kappa": 0.5}})
+                        "random-speed-wave": {"kappa": 0.3,
+                                              "slope_bound": 0.5}})
     outdir = tmp_path / "out"
     assert main([cfg, "--output-dir", str(outdir)]) == 3
     assert "EmptyDomainError" in capsys.readouterr().err

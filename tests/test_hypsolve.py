@@ -233,28 +233,6 @@ def test_dalembert_wave():
     assert np.max(np.abs(v + np.cos(xs_v - 1.0))) <= 1e-12
 
 
-def test_dalembert_two_sided():
-    sys = wave_to_system(
-        speed=ConstantField2D(1.0),
-        u0=SIN,
-        u0_slope=AnalyticField1D([np.cos]),
-        u1=ZERO_1D,
-    )
-    sol = solve_system(
-        sys.problem,
-        Interval(-np.pi - 1.3, np.pi + 1.3),
-        horizon=0.8,
-        dt=0.01,
-        two_sided=True,
-    )
-    assert sol.t_nodes[0] == pytest.approx(-0.8)
-    assert sol.t_nodes[-1] == pytest.approx(0.8)
-    xs, u_back = sol.on_level(2, -0.5)
-    assert np.max(np.abs(u_back - np.sin(xs) * np.cos(0.5))) <= 1e-4
-    xs, u_zero = sol.on_level(2, 0.0)
-    assert np.max(np.abs(u_zero - np.sin(xs))) <= 1e-12
-
-
 def test_gronwall_bound_holds():
     sys = wave_to_system(
         speed=ConstantField2D(1.0),

@@ -4,6 +4,7 @@ import os
 import numpy as np
 import pytest
 
+import roughwave.scenarios as scenarios
 from roughwave.errors import EmptyDomainError, ParameterError
 from roughwave.mollify import EpsLadder, build_mollifier
 from roughwave.scenarios import (
@@ -19,9 +20,9 @@ from roughwave.scenarios import (
     pair_quadrature,
     pinned_pair_covariance,
     polygon_area,
+    run_additive_noise_wave,
     run_geometric_wave,
     run_ogawa,
-    run_random_speed_wave,
     write_report,
     _slab_grid,
 )
@@ -387,6 +388,62 @@ def test_additive_spec_rejects_meaningless_pairs(overrides, message):
         AdditiveNoiseSpec(master_seed=1, **overrides)
 
 
+def test_nan_z_score_fails_its_check(monkeypatch):
+    # one sample's first point value is NaN, so that point's z-score is
+    # NaN; the fold over points must keep it rather than read it as 0
+    real_action = scenarios.white_noise_action
+    calls = []
+
+    def action(noise, tab):
+        calls.append(None)
+        return float("nan") if len(calls) == 1 else real_action(noise, tab)
+
+    monkeypatch.setattr(scenarios, "white_noise_action", action)
+    spec = AdditiveNoiseSpec(master_seed=MASTER_SEED, n_samples=20, eps=0.04,
+                             cauchy_ladder=EpsLadder(0.16, 0.5, 3))
+    rep = run_additive_noise_wave(spec)
+    check = next(c for c in rep.checks if c.name == "variance-at-points")
+    assert math.isnan(check.observed)
+    assert not check.passed
+    assert not rep.passed
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"speed_lo": -1.0}, "speed_lo must be positive"),
+    ({"speed_lo": 2.0}, "must exceed speed_lo"),
+    ({"n_seeds": 0}, "n_seeds must be >= 1"),
+    ({"n_features": 0}, "n_features must be >= 1"),
+    ({"dt": 0.0}, "dt must be positive"),
+    ({"x_step": -0.02}, "x_step must be positive"),
+    ({"horizon": float("nan")}, "horizon must be positive"),
+    ({"ladder": EpsLadder(0.4, 0.5, 1)}, "ladder count must be >= 2"),
+    ({"field_halfwidth": 2.5}, "field_halfwidth 2.5"),
+], ids=["speed-lo-negative", "speed-range-empty", "no-seeds", "no-features",
+        "dt-zero", "x-step-negative", "horizon-nan", "one-level-ladder",
+        "field-too-narrow"])
+def test_random_speed_spec_rejects_meaningless_values(overrides, message):
+    with pytest.raises(ParameterError, match=message):
+        RandomSpeedSpec(master_seed=1, **overrides)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"eps": -0.01}, "eps must lie in"),
+    ({"eps": 1.5}, "eps must lie in"),
+    ({"n_samples": 1}, "n_samples must be >= 2"),
+    ({"check_times": ()}, "check_times must be"),
+    ({"check_times": (0.5, 0.0)}, "check_times must be"),
+    ({"probes": ()}, "probes is empty"),
+    ({"path_pad": 0.09}, "path_pad 0.09 too small"),
+    ({"eval_time": 0.0}, "eval_time must be positive"),
+    ({"mean_z_bound": -3.0}, "mean_z_bound must be positive"),
+], ids=["eps-negative", "eps-above-one", "one-sample", "no-check-times",
+        "check-time-zero", "no-probes", "pad-too-small", "eval-time-zero",
+        "z-bound-negative"])
+def test_ogawa_spec_rejects_meaningless_values(overrides, message):
+    with pytest.raises(ParameterError, match=message):
+        OgawaSpec(master_seed=1, **overrides)
+
+
 def test_run_without_checks_fails(tmp_path):
     rep = run_geometric_wave(GeometricSpec(master_seed=MASTER_SEED, curves=()))
     assert rep.checks == []
@@ -455,8 +512,9 @@ def test_random_speed_every_seed_monotone(random_speed_report):
 
 
 def test_random_speed_empty_domain_guard():
+    # refused when the spec is built, before any solve
     with pytest.raises(EmptyDomainError):
-        run_random_speed_wave(RandomSpeedSpec(master_seed=1, kappa=1.0))
+        RandomSpeedSpec(master_seed=1, kappa=1.0)
 
 
 # ----------------------------------------------------- report invariants
