@@ -171,10 +171,8 @@ def _echo(spec) -> dict:
     for f in fields(spec):
         v = getattr(spec, f.name)
         if isinstance(v, EpsLadder):
-            out[f.name + ".eps0"] = v.eps0
-            out[f.name + ".ratio"] = v.ratio
-            out[f.name + ".count"] = v.count
-            out[f.name + ".scale_map"] = v.scale_map
+            for part in ("eps0", "ratio", "count", "scale_map"):
+                out[f"{f.name}.{part}"] = getattr(v, part)
         elif isinstance(v, tuple):
             out[f.name] = ";".join(format_value(x) for x in v)
         else:
@@ -191,12 +189,31 @@ def _worst(values) -> float:
     return float(np.max([0.0, *values]))
 
 
+def _bounded(name: str, observed, bound, note: str = "") -> CheckResult:
+    """The pass rule of every bounded check: observed <= bound (NaN fails)."""
+    return CheckResult(name, observed <= bound, observed, bound, note)
+
+
+def _worst_z(name: str, rows: Sequence, bound: float, note: str) -> CheckResult:
+    """Bounded check on the worst z-score, the last column of each row."""
+    return _bounded(name, _worst(row[-1] for row in rows), bound, note)
+
+
+def _strictly_decreasing(seq: Sequence) -> bool:
+    return all(seq[k + 1] < seq[k] for k in range(len(seq) - 1))
+
+
+def _decreasing(name: str, seq: Sequence, note: str) -> CheckResult:
+    """Strict decrease along a ladder; records the last value against the first."""
+    return CheckResult(name, _strictly_decreasing(seq), seq[-1], seq[0], note)
+
+
 def _interchange(label: str, values: np.ndarray) -> tuple:
     """Interchange rows at p = 2 and 4 for one sample matrix, and their check."""
     rows = [(label, p, *norm_interchange(values, p)) for p in (2.0, 4.0)]
-    worst = _worst(lhs - rhs for _, _, lhs, rhs in rows)
-    return rows, CheckResult("norm-interchange", worst <= 1e-12, worst, 0.0,
-                             "sup of norms minus norm of sups, worst instance")
+    return rows, _bounded("norm-interchange",
+                          _worst(lhs - rhs for _, _, lhs, rhs in rows), 1e-12,
+                          "sup of norms minus norm of sups, worst instance")
 
 
 def _mc_z(samples: np.ndarray, ref: float) -> tuple:
@@ -206,8 +223,61 @@ def _mc_z(samples: np.ndarray, ref: float) -> tuple:
     return est, se, abs(est - ref) / se
 
 
-def _strictly_decreasing(seq: Sequence) -> bool:
-    return all(seq[k + 1] < seq[k] for k in range(len(seq) - 1))
+def _trusted_gap(sol, exact: Callable = None, ref=None) -> float:
+    """Sup over time rows of the wave component's gap on trusted nodes.
+
+    The gap is to ``exact(x, t)`` on the nodes that ``sol`` trusts, or,
+    given ``ref`` on the same lattice, to its table on the nodes that both
+    solutions trust.
+    """
+    xs = sol.x_grid.nodes()
+    gaps = []
+    for k, t in enumerate(sol.t_nodes):
+        m = sol.trust.contains(xs, t)
+        if ref is not None:
+            m = m & ref.trust.contains(xs, t)
+        if m.any():
+            other = exact(xs[m], t) if ref is None else ref.tables[2][m, k]
+            gaps.append(np.abs(sol.tables[2][m, k] - other).max())
+    return _worst(gaps)
+
+
+def _path_grid(halfwidth: float, levels: np.ndarray) -> Grid1D:
+    """Centred grid over [-halfwidth, halfwidth] at the finest level / 8."""
+    step = float(levels[-1]) / 8.0
+    return Grid1D(-halfwidth, step, int(math.ceil(2.0 * halfwidth / step)) + 1)
+
+
+def _seed_row(spec, purpose: str, count: int) -> tuple:
+    """Seeds table row: purpose, draw count and the first draw's state."""
+    return (purpose, count, int(subseed(spec.master_seed, purpose, 0)))
+
+
+def _report(scenario: str, spec, t_start: float, **parts) -> ScenarioReport:
+    """Report of one run: the spec's seed and echo, time since t_start."""
+    return ScenarioReport(scenario=scenario, master_seed=spec.master_seed,
+                          config=_echo(spec), elapsed=time.time() - t_start,
+                          **parts)
+
+
+def _require_positive(spec, *names: str) -> None:
+    for name in names:
+        if not getattr(spec, name) > 0.0:
+            raise ParameterError(
+                f"{name} must be positive, got {getattr(spec, name)}")
+
+
+def _require_at_least(spec, least: int, why: str, *names: str) -> None:
+    for name in names:
+        if getattr(spec, name) < least:
+            raise ParameterError(
+                f"{name} must be >= {least}{why}, got {getattr(spec, name)}")
+
+
+def _require_levels(name: str, ladder: EpsLadder, why: str) -> None:
+    if ladder.count < 2:
+        raise ParameterError(
+            f"{name} count must be >= 2: {why}, got {ladder.count}")
 
 
 def _pool_map(fn: Callable, args: Sequence, jobs: int) -> list:
@@ -404,24 +474,15 @@ class CalibrationSpec:
     transport_tol: float = 1e-8
     wave_tol: float = 1e-4
 
-
-def _wave_sup_error(sol, exact: Callable, component: int = 2) -> float:
-    xs = sol.x_grid.nodes()
-    gaps = []
-    for k, t in enumerate(sol.t_nodes):
-        m = sol.trust.contains(xs, t)
-        if m.any():
-            gaps.append(np.abs(sol.tables[component][m, k]
-                               - exact(xs[m], t)).max())
-    return _worst(gaps)
+    def __post_init__(self):
+        _require_positive(self, "kappa", "horizon", "dt", "x_step",
+                          "transport_time", "transport_tol", "wave_tol")
 
 
 def run_calibration(spec: CalibrationSpec, jobs: int = 1) -> ScenarioReport:
     """Transport shift identity plus both constant-speed wave closed forms."""
     t_start = time.time()
     base = Interval(-spec.kappa, spec.kappa)
-    checks = []
-    rows = []
 
     # exact transport of a sine along a constant drift, analytic route
     c = spec.transport_speed
@@ -433,10 +494,8 @@ def run_calibration(spec: CalibrationSpec, jobs: int = 1) -> ScenarioReport:
     probe_x = np.linspace(-1.5, 1.5, 9)
     analytic_err = float(np.abs(shifted.values(probe_x)
                                 - np.sin(probe_x - c * tt)).max())
-    checks.append(CheckResult("transport-analytic", analytic_err <= spec.transport_tol,
-                              analytic_err, spec.transport_tol,
-                              f"shift={shift:.6f}"))
-    rows.append(("transport-analytic", analytic_err, spec.transport_tol))
+    checks = [_bounded("transport-analytic", analytic_err, spec.transport_tol,
+                       f"shift={shift:.6f}")]
 
     # same transport through the grid solver
     prob = HyperbolicProblem(speeds=[ConstantField2D(c)], coupling=[[None]],
@@ -444,36 +503,26 @@ def run_calibration(spec: CalibrationSpec, jobs: int = 1) -> ScenarioReport:
     sol = solve_system(prob, base, tt, spec.dt, x_step=spec.x_step)
     xs, vals = sol.on_level(0, tt)
     solver_err = float(np.abs(vals - np.sin(xs - c * tt)).max())
-    checks.append(CheckResult("transport-solver", solver_err <= spec.transport_tol,
-                              solver_err, spec.transport_tol))
-    rows.append(("transport-solver", solver_err, spec.transport_tol))
+    checks.append(_bounded("transport-solver", solver_err, spec.transport_tol))
 
-    # constant-speed wave, displacement-only data
-    u0a = AnalyticField1D([np.sin, np.cos])
-    u0a_slope = AnalyticField1D([np.cos])
+    # constant-speed waves: displacement-only data, then velocity-only data
+    # with u = (sin(x+t) - sin(x-t)) / 2
     zero = constant_field_1d(0.0)
-    sys_a = wave_to_system(ConstantField2D(1.0), u0a, u0a_slope, zero)
-    sol_a = sys_a.solve(base, spec.horizon, spec.dt, x_step=spec.x_step)
-    err_a = _wave_sup_error(sol_a, lambda x, t: 0.5 * (np.sin(x - t) + np.sin(x + t)))
-    checks.append(CheckResult("wave-displacement-data", err_a <= spec.wave_tol,
-                              err_a, spec.wave_tol))
-    rows.append(("wave-displacement-data", err_a, spec.wave_tol))
+    for name, data, exact in (
+            ("wave-displacement-data",
+             (AnalyticField1D([np.sin, np.cos]), AnalyticField1D([np.cos]), zero),
+             lambda x, t: 0.5 * (np.sin(x - t) + np.sin(x + t))),
+            ("wave-velocity-data", (zero, zero, AnalyticField1D([np.cos])),
+             lambda x, t: 0.5 * (np.sin(x + t) - np.sin(x - t)))):
+        sol = wave_to_system(ConstantField2D(1.0), *data).solve(
+            base, spec.horizon, spec.dt, x_step=spec.x_step)
+        checks.append(_bounded(name, _trusted_gap(sol, exact), spec.wave_tol))
 
-    # constant-speed wave, velocity-only data: u = (sin(x+t) - sin(x-t)) / 2
-    sys_b = wave_to_system(ConstantField2D(1.0), constant_field_1d(0.0),
-                           constant_field_1d(0.0),
-                           AnalyticField1D([np.cos]))
-    sol_b = sys_b.solve(base, spec.horizon, spec.dt, x_step=spec.x_step)
-    err_b = _wave_sup_error(sol_b, lambda x, t: 0.5 * (np.sin(x + t) - np.sin(x - t)))
-    checks.append(CheckResult("wave-velocity-data", err_b <= spec.wave_tol,
-                              err_b, spec.wave_tol))
-    rows.append(("wave-velocity-data", err_b, spec.wave_tol))
-
-    return ScenarioReport(
-        scenario="calibration", master_seed=spec.master_seed,
-        config=_echo(spec), seeds=[], ladder=[], ladder_columns=["eps"],
+    rows = [(check.name, check.observed, check.bound) for check in checks]
+    return _report(
+        "calibration", spec, t_start, seeds=[], ladder=[], ladder_columns=["eps"],
         tables=[Table("errors", ["case", "sup_error", "tolerance"], rows)],
-        checks=checks, interchange=[], elapsed=time.time() - t_start)
+        checks=checks, interchange=[])
 
 
 # ---------------------------------------------------------------------------
@@ -507,17 +556,12 @@ class OgawaSpec:
     heat_gap_bound: float = 0.02
 
     def __post_init__(self):
-        for name in ("eval_time", "data_halfwidth", "sigma_rel_tol",
-                     "sigma_z_bound", "mean_z_bound", "residual_step",
-                     "heat_gap_bound"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(
-                    f"{name} must be positive, got {getattr(self, name)}")
+        _require_positive(self, "eval_time", "data_halfwidth", "sigma_rel_tol",
+                          "sigma_z_bound", "mean_z_bound", "residual_step",
+                          "heat_gap_bound")
         if not 0.0 < self.eps <= 1.0:
             raise ParameterError(f"eps must lie in (0, 1], got {self.eps}")
-        if self.n_samples < 2:
-            raise ParameterError(f"n_samples must be >= 2 for a standard "
-                                 f"error, got {self.n_samples}")
+        _require_at_least(self, 2, " for a standard error", "n_samples")
         if not self.check_times or not all(t > 0.0 for t in self.check_times):
             raise ParameterError(f"check_times must be a non-empty list of "
                                  f"positive times, got {self.check_times}")
@@ -556,7 +600,6 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
     for t in spec.check_times:
         q = pair_quadrature(t, t, mol, eps)
         sigma_rows.append([t, q, abs(q - t) / t])
-    worst_rel = _worst(row[2] for row in sigma_rows)
     var_s = (pair_quadrature(spec.eval_time, spec.eval_time, mol, eps)
              - 2.0 * pair_quadrature(spec.eval_time, 0.0, mol, eps)
              + pair_quadrature(0.0, 0.0, mol, eps))
@@ -564,10 +607,9 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
     # smoothed data shared by every sample
     u0_grid = Grid1D(-spec.data_halfwidth, step,
                      int(round(2.0 * spec.data_halfwidth / step)) + 1)
-    u0_nodes = u0_grid.nodes()
     u0_proc = SampledProcess(u0_grid,
                              spec.data_offset
-                             + spec.data_amplitude * np.sin(u0_nodes),
+                             + spec.data_amplitude * np.sin(u0_grid.nodes()),
                              seed=0, source="sine-data")
     u0_eps = EmbeddedField1D(u0_proc, mol, eps)
 
@@ -587,26 +629,20 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
                 for t in spec.check_times]
         return shift_gap, disp, shifted.values(probes)
 
-    results = _pool_map(one_sample, range(n), jobs)
-    shift_gaps = np.array([res[0] for res in results])
-    disps = np.array([res[1] for res in results])         # (n, n_times)
-    vals = np.array([res[2] for res in results])          # (n, n_probes)
+    # shapes (n,), (n, n_times) and (n, n_probes)
+    shift_gaps, disps, vals = map(
+        np.array, zip(*_pool_map(one_sample, range(n), jobs)))
 
-    checks = [CheckResult("spread-quadrature", worst_rel <= spec.sigma_rel_tol,
-                          worst_rel, spec.sigma_rel_tol,
-                          "worst relative gap of pair moment vs t")]
-    gap_id = float(shift_gaps.max())
-    checks.append(CheckResult("shift-identity", gap_id <= 1e-12, gap_id, 1e-12,
-                              "transport shift vs smoothed path displacement"))
+    checks = [_bounded("spread-quadrature", _worst(row[2] for row in sigma_rows),
+                       spec.sigma_rel_tol, "worst relative gap of pair moment vs t"),
+              _bounded("shift-identity", float(shift_gaps.max()), 1e-12,
+                       "transport shift vs smoothed path displacement")]
 
     # Monte Carlo spread against the quadrature prediction
     for j, t in enumerate(spec.check_times):
         sigma_rows[j].extend(_mc_z(disps[:, j] ** 2, sigma_rows[j][1]))
-    worst_z_sigma = _worst(row[-1] for row in sigma_rows)
-    checks.append(CheckResult("spread-monte-carlo",
-                              worst_z_sigma <= spec.sigma_z_bound,
-                              worst_z_sigma, spec.sigma_z_bound,
-                              "worst z of sampled second moment vs quadrature"))
+    checks.append(_worst_z("spread-monte-carlo", sigma_rows, spec.sigma_z_bound,
+                           "worst z of sampled second moment vs quadrature"))
 
     # sample mean vs smoothed-data-averaged reference at the probes
     sd = math.sqrt(var_s)
@@ -622,20 +658,16 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
     closed = (spec.data_offset * cum[-1]
               + spec.data_amplitude * c_hat * math.exp(-0.5 * var_s)
               * np.sin(probes))
-    ref_gap = float(np.abs(ref - closed).max())
-    checks.append(CheckResult("reference-dual-route", ref_gap <= 1e-4,
-                              ref_gap, 1e-4,
-                              "quadrature vs closed-form averaged reference"))
+    checks.append(_bounded("reference-dual-route",
+                           float(np.abs(ref - closed).max()), 1e-4,
+                           "quadrature vs closed-form averaged reference"))
 
     mean_rows = []
     for j, x in enumerate(probes):
         mean, se, z = _mc_z(vals[:, j], ref[j])
         mean_rows.append((x, mean, ref[j], closed[j], se, z))
-    worst_z_mean = _worst(row[-1] for row in mean_rows)
-    checks.append(CheckResult("mean-vs-reference",
-                              worst_z_mean <= spec.mean_z_bound,
-                              worst_z_mean, spec.mean_z_bound,
-                              "worst z over probes, sample mean vs reference"))
+    checks.append(_worst_z("mean-vs-reference", mean_rows, spec.mean_z_bound,
+                           "worst z over probes, sample mean vs reference"))
 
     # vanishing-scale reference solves the heat flow: residual + proximity
     h = spec.residual_step
@@ -646,25 +678,19 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
     u_xx = (_heat_profile(spec, res_x + h, t_mid)
             - 2.0 * _heat_profile(spec, res_x, t_mid)
             + _heat_profile(spec, res_x - h, t_mid)) / (h * h)
-    residual = float(np.abs(u_t - 0.5 * u_xx).max())
     # centered differences of a smooth profile: O(h^2) truncation
-    fd_bound = max(1e-6, h * h)
-    checks.append(CheckResult("heat-residual", residual <= fd_bound,
-                              residual, fd_bound,
-                              f"centered differences, h={h:g}"))
+    checks.append(_bounded("heat-residual", float(np.abs(u_t - 0.5 * u_xx).max()),
+                           max(1e-6, h * h), f"centered differences, h={h:g}"))
     heat_gap = float(np.abs(np.array([m[1] for m in mean_rows])
                             - _heat_profile(spec, probes, spec.eval_time)).max())
-    checks.append(CheckResult("mean-vs-heat-profile",
-                              heat_gap <= spec.heat_gap_bound,
-                              heat_gap, spec.heat_gap_bound,
-                              "smoothing bias plus Monte Carlo noise"))
+    checks.append(_bounded("mean-vs-heat-profile", heat_gap, spec.heat_gap_bound,
+                           "smoothing bias plus Monte Carlo noise"))
 
     interchange, check = _interchange("transported-probes", vals)
     checks.append(check)
 
-    return ScenarioReport(
-        scenario="ogawa", master_seed=spec.master_seed, config=_echo(spec),
-        seeds=[("rough-path", n, int(subseed(spec.master_seed, "rough-path", 0)))],
+    return _report(
+        "ogawa", spec, t_start, seeds=[_seed_row(spec, "rough-path", n)],
         ladder=[[eps, r]],
         ladder_columns=["eps", "support_radius"],
         tables=[Table("spread",
@@ -673,7 +699,7 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
                 Table("mean_field",
                       ["x", "sample_mean", "reference", "closed_form",
                        "se", "z"], mean_rows)],
-        checks=checks, interchange=interchange, elapsed=time.time() - t_start)
+        checks=checks, interchange=interchange)
 
 
 # ---------------------------------------------------------------------------
@@ -705,20 +731,13 @@ class AdditiveNoiseSpec:
     cauchy_point: tuple = (0.0, 1.0)
 
     def __post_init__(self):
-        for name in ("eps", "cell_factor", "z_bound"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(
-                    f"{name} must be positive, got {getattr(self, name)}")
-        if self.n_samples < 2:
-            raise ParameterError(f"n_samples must be >= 2 for a standard "
-                                 f"error, got {self.n_samples}")
+        _require_positive(self, "eps", "cell_factor", "z_bound")
+        _require_at_least(self, 2, " for a standard error", "n_samples")
         if self.quad_nodes < 3 or self.quad_nodes % 2 == 0:
             raise ParameterError(f"quad_nodes must be odd and >= 3 for the "
                                  f"Simpson rule, got {self.quad_nodes}")
-        if self.cauchy_ladder.count < 2:
-            raise ParameterError(
-                f"cauchy_ladder count must be >= 2: the spot check pairs its "
-                f"two finest levels, got {self.cauchy_ladder.count}")
+        _require_levels("cauchy_ladder", self.cauchy_ladder,
+                        "the spot check pairs its two finest levels")
         n = len(self.points)
         for x_t in (*self.points, self.cauchy_point):
             if len(x_t) != 2 or not x_t[1] > 0.0:
@@ -753,8 +772,6 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
     mol = build_mollifier()
     n = spec.n_samples
     points = [tuple(map(float, p)) for p in spec.points]
-    xs_all = [p[0] for p in points]
-    ts_all = [p[1] for p in points]
 
     # Monte Carlo slab: pad covers the widest kernel in play so the finest
     # Cauchy pair can be spot-checked on the same noise draws
@@ -764,7 +781,7 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
     pad = mol.support_radius(max(spec.eps, spot_hi)) + 2.0 * h
     grid = _slab_grid(min(x - t for x, t in points),
                       max(x + t for x, t in points),
-                      max(ts_all), pad, h)
+                      max(t for _, t in points), pad, h)
     ys = grid.x.cell_centers()
     ss = grid.t.cell_centers()
     cell = grid.cell_measure
@@ -788,33 +805,27 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
     vals = samples[:, :-1]
     spot = samples[:, -1]
 
-    checks = []
     moment_rows = []
     for j, (x, t) in enumerate(points):
         ref = 0.25 * t * t
         est, se, z = _mc_z(vals[:, j] ** 2, ref)
         moment_rows.append(("var", x, t, x, t, est, ref, se, z))
-    worst_z_var = _worst(row[-1] for row in moment_rows)
-    checks.append(CheckResult("variance-at-points",
-                              worst_z_var <= spec.z_bound, worst_z_var,
-                              spec.z_bound, "worst z vs t^2/4"))
+    checks = [_worst_z("variance-at-points", moment_rows, spec.z_bound,
+                       "worst z vs t^2/4")]
 
     for (i, j) in spec.overlap_pairs:
         ref = 0.25 * cone_overlap_area(points[i], points[j])
         est, se, z = _mc_z(vals[:, i] * vals[:, j], ref)
         moment_rows.append(("cov", *points[i], *points[j], est, ref, se, z))
-    worst_z_cov = _worst(row[-1] for row in moment_rows[len(points):])
-    checks.append(CheckResult("covariance-overlap",
-                              worst_z_cov <= spec.z_bound, worst_z_cov,
-                              spec.z_bound,
-                              "worst z vs exact clipped cone area / 4"))
+    checks.append(_worst_z("covariance-overlap", moment_rows[len(points):],
+                           spec.z_bound, "worst z vs exact clipped cone area / 4"))
 
     i, j = spec.disjoint_pair
     ref_dis = 0.25 * cone_overlap_area(points[i], points[j])
     est, se, z_dis = _mc_z(vals[:, i] * vals[:, j], ref_dis)
     moment_rows.append(("cov", *points[i], *points[j], est, ref_dis, se, z_dis))
-    checks.append(CheckResult("covariance-disjoint", z_dis <= spec.z_bound,
-                              z_dis, spec.z_bound, "disjoint cones"))
+    checks.append(_bounded("covariance-disjoint", z_dis, spec.z_bound,
+                           "disjoint cones"))
 
     # deterministic Cauchy sweep at the tracked point, shared finer slab
     hc = _cauchy_cell(spec)
@@ -833,30 +844,23 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
         m2 = 0.25 * float((diff * diff).sum()) * cell_c
         moments.append(m2)
         cauchy_rows.append((float(levels[k]), float(levels[k + 1]), m2))
-    checks.append(CheckResult("cauchy-decreasing",
-                              _strictly_decreasing(moments),
-                              float(moments[-1]), float(moments[0]),
+    checks.append(_decreasing("cauchy-decreasing", moments,
                               "successive-difference second moments shrink"))
 
     # Monte Carlo spot check of the finest Cauchy pair on the sample slab
     spot_ref = 0.25 * float((spot_tab * spot_tab).sum()) * cell
     spot_est, spot_se, z_spot = _mc_z(spot ** 2, spot_ref)
-    checks.append(CheckResult("cauchy-spot-monte-carlo",
-                              z_spot <= spec.z_bound, z_spot, spec.z_bound,
-                              f"pair ({spot_hi:g}, {spot_lo:g}) at the "
-                              "tracked point"))
+    checks.append(_bounded("cauchy-spot-monte-carlo", z_spot, spec.z_bound,
+                           f"pair ({spot_hi:g}, {spot_lo:g}) at the tracked point"))
 
     interchange, check = _interchange("point-values", vals)
     checks.append(check)
 
     ladder_rows = [[float(e), 0.25 * float((chain[k] ** 2).sum()) * cell_c]
                    for k, e in enumerate(levels)]
-    return ScenarioReport(
-        scenario="additive-noise-wave", master_seed=spec.master_seed,
-        config=_echo(spec),
-        seeds=[("forcing-noise", n,
-                int(subseed(spec.master_seed, "forcing-noise", 0)))],
-        ladder=ladder_rows,
+    return _report(
+        "additive-noise-wave", spec, t_start,
+        seeds=[_seed_row(spec, "forcing-noise", n)], ladder=ladder_rows,
         ladder_columns=["eps", "tracked_point_second_moment"],
         tables=[Table("moments",
                       ["kind", "x1", "t1", "x2", "t2", "estimate",
@@ -867,7 +871,7 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
                       ["eps_hi", "eps_lo", "estimate", "reference", "se", "z"],
                       [(spot_hi, spot_lo, spot_est, spot_ref, spot_se,
                         z_spot)])],
-        checks=checks, interchange=interchange, elapsed=time.time() - t_start)
+        checks=checks, interchange=interchange)
 
 
 # ---------------------------------------------------------------------------
@@ -907,6 +911,12 @@ class GeometricSpec:
         if unknown:
             raise ParameterError(
                 f"unknown curves {unknown}; known: {', '.join(GEOMETRIC_CURVES)}")
+        _require_positive(self, "eval_time", "closed_form_tol", "sine_final_bound",
+                          "brownian_final_bound", "path_halfwidth")
+        for name in ("sine_ladder", "brownian_ladder"):
+            _require_levels(name, getattr(self, name),
+                            "the decrease checks compare successive levels")
+        _require_at_least(self, 3, " for an arclength chart", "sine_chart_nodes")
 
 
 def _strided_process(path: SampledProcess, eps: float) -> SampledProcess:
@@ -943,21 +953,11 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
     seeds = []
     ladder_rows = []
 
-    if "flat" in spec.curves:
-        chart = ArclengthChart(AnalyticField1D(
-            [lambda x: np.zeros_like(np.asarray(x, float)),
-             lambda x: np.zeros_like(np.asarray(x, float))],
-            domain=Interval(-4.0, 4.0)))
-        got = geometric_wave_solve(chart, u0, u1, probes, T)
-        exact = (0.5 * (np.cos(probes - T) + np.cos(probes + T))
-                 + 0.5 * (np.sin(probes + T) - np.sin(probes - T)))
-        err = float(np.abs(got - exact).max())
-        checks.append(CheckResult("flat-dalembert", err <= spec.closed_form_tol,
-                                  err, spec.closed_form_tol))
-        closed_rows.append(("flat", err, spec.closed_form_tol))
-
-    if "linear" in spec.curves:
-        a = spec.linear_slope
+    # closed forms: d'Alembert at speed 1 / w along a line of slope a (the
+    # flat curve is slope 0)
+    for curve, a in (("flat", 0.0), ("linear", spec.linear_slope)):
+        if curve not in spec.curves:
+            continue
         w = math.sqrt(1.0 + a * a)
         chart = ArclengthChart(AnalyticField1D(
             [lambda x: a * np.asarray(x, float),
@@ -967,21 +967,17 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
         exact = (0.5 * (np.cos(probes - T / w) + np.cos(probes + T / w))
                  + 0.5 * w * (np.sin(probes + T / w) - np.sin(probes - T / w)))
         err = float(np.abs(got - exact).max())
-        checks.append(CheckResult("linear-dalembert",
-                                  err <= spec.closed_form_tol, err,
-                                  spec.closed_form_tol))
-        closed_rows.append(("linear", err, spec.closed_form_tol))
-
+        checks.append(_bounded(f"{curve}-dalembert", err, spec.closed_form_tol))
+        closed_rows.append((curve, err, spec.closed_form_tol))
     if closed_rows:
         tables.append(Table("closed_forms",
                             ["curve", "sup_error", "tolerance"], closed_rows))
 
+    hw = spec.path_halfwidth
     if "c1-sine" in spec.curves:
         amp = spec.sine_amplitude
         levels = spec.sine_ladder.levels()
-        hw = spec.path_halfwidth
-        step = float(levels[-1]) / 8.0
-        tab_grid = Grid1D(-hw, step, int(math.ceil(2.0 * hw / step)) + 1)
+        tab_grid = _path_grid(hw, levels)
         tab = SampledProcess(tab_grid, amp * np.sin(tab_grid.nodes()),
                              seed=0, source="sine-curve")
         ref_curve = AnalyticField1D([lambda x: amp * np.sin(x),
@@ -999,22 +995,15 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
         rows = [(float(e), g) for e, g in zip(levels, gaps)]
         tables.append(Table("sine_chart", ["eps", "max_gamma_gap"], rows))
         ladder_rows += [["c1-sine", float(e), g] for e, g in zip(levels, gaps)]
-        checks.append(CheckResult("sine-gamma-decreasing",
-                                  _strictly_decreasing(gaps),
-                                  gaps[-1], gaps[0],
+        checks.append(_decreasing("sine-gamma-decreasing", gaps,
                                   "forward characteristic vs unsmoothed chart"))
-        checks.append(CheckResult("sine-gamma-final",
-                                  gaps[-1] <= spec.sine_final_bound,
-                                  gaps[-1], spec.sine_final_bound))
+        checks.append(_bounded("sine-gamma-final", gaps[-1], spec.sine_final_bound))
 
     if "brownian" in spec.curves:
         levels = spec.brownian_ladder.levels()
-        hw = spec.path_halfwidth
-        step = float(levels[-1]) / 8.0
-        path_grid = Grid1D(-hw, step, int(math.ceil(2.0 * hw / step)) + 1)
         path_seed = subseed(spec.master_seed, "geometric-path",
                             spec.path_index)
-        path = sample_brownian_1d(path_grid, path_seed)
+        path = sample_brownian_1d(_path_grid(hw, levels), path_seed)
         seeds.append(("geometric-path", 1, int(path_seed)))
 
         def brown_level(eps: float):
@@ -1040,24 +1029,17 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
                              "min_speed"], rows))
         ladder_rows += [["brownian", float(e), gam_gaps[k]]
                         for k, e in enumerate(levels)]
-        checks.append(CheckResult("brownian-gamma-decreasing",
-                                  _strictly_decreasing(gam_gaps),
-                                  gam_gaps[-1], gam_gaps[0],
-                                  "max over probes of |gamma - x| per level"))
-        checks.append(CheckResult("brownian-gamma-final",
-                                  gam_gaps[-1] <= spec.brownian_final_bound,
-                                  gam_gaps[-1], spec.brownian_final_bound))
-        checks.append(CheckResult("brownian-solution-limit",
-                                  _strictly_decreasing(u_gaps),
-                                  u_gaps[-1], u_gaps[0],
-                                  "solution vs unmoved data at the probes"))
+        checks += [_decreasing("brownian-gamma-decreasing", gam_gaps,
+                               "max over probes of |gamma - x| per level"),
+                   _bounded("brownian-gamma-final", gam_gaps[-1],
+                            spec.brownian_final_bound),
+                   _decreasing("brownian-solution-limit", u_gaps,
+                               "solution vs unmoved data at the probes")]
 
-    return ScenarioReport(
-        scenario="geometric-wave", master_seed=spec.master_seed,
-        config=_echo(spec), seeds=seeds, ladder=ladder_rows,
+    return _report(
+        "geometric-wave", spec, t_start, seeds=seeds, ladder=ladder_rows,
         ladder_columns=["curve", "eps", "max_gamma_gap"],
-        tables=tables, checks=checks, interchange=[],
-        elapsed=time.time() - t_start)
+        tables=tables, checks=checks, interchange=[])
 
 
 # ---------------------------------------------------------------------------
@@ -1090,23 +1072,15 @@ class RandomSpeedSpec:
     field_halfwidth: float = 4.2
 
     def __post_init__(self):
-        for name in ("speed_lo", "kappa", "horizon", "dt", "x_step",
-                     "slope_bound", "gap_ratio_bound", "dalembert_tol",
-                     "field_halfwidth"):
-            if not getattr(self, name) > 0.0:
-                raise ParameterError(
-                    f"{name} must be positive, got {getattr(self, name)}")
+        _require_positive(self, "speed_lo", "kappa", "horizon", "dt", "x_step",
+                          "slope_bound", "gap_ratio_bound", "dalembert_tol",
+                          "field_halfwidth")
         if not self.speed_hi > self.speed_lo:
             raise ParameterError(f"speed_hi {self.speed_hi} must exceed "
                                  f"speed_lo {self.speed_lo}")
-        for name in ("n_seeds", "n_features"):
-            if getattr(self, name) < 1:
-                raise ParameterError(
-                    f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.ladder.count < 2:
-            raise ParameterError(
-                f"ladder count must be >= 2: the gap check compares "
-                f"successive levels, got {self.ladder.count}")
+        _require_at_least(self, 1, "", "n_seeds", "n_features")
+        _require_levels("ladder", self.ladder,
+                        "the gap check compares successive levels")
         r = build_mollifier().support_radius(float(self.ladder.levels()[0]))
         if self.field_halfwidth - r < self.kappa:
             raise ParameterError(
@@ -1157,24 +1131,19 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
     span = spec.speed_hi - spec.speed_lo
     hw = spec.field_halfwidth
     u0, u0_slope, u1 = _bump_data()
-    tab_step = float(levels[-1]) / 8.0
-    tab_grid = Grid1D(-hw, tab_step, int(math.ceil(2.0 * hw / tab_step)) + 1)
+    tab_grid = _path_grid(hw, levels)
     tab_nodes = tab_grid.nodes()
 
     def f_inverse(u):
         return spec.speed_lo + span * u
 
-    checks = []
-
     # constant-speed member of the family against d'Alembert
     sys_c = wave_to_system(ConstantField2D(1.0), *_bump_data())
     sol_c = sys_c.solve(base, spec.horizon, spec.dt / 2.0,
                         x_step=spec.x_step / 2.0)
-    err_c = _wave_sup_error(sol_c, lambda x, t: 0.5 * (
+    err_c = _trusted_gap(sol_c, lambda x, t: 0.5 * (
         np.exp(-(x - t) ** 2) + np.exp(-(x + t) ** 2)))
-    checks.append(CheckResult("constant-speed-dalembert",
-                              err_c <= spec.dalembert_tol, err_c,
-                              spec.dalembert_tol))
+    checks = [_bounded("constant-speed-dalembert", err_c, spec.dalembert_tol)]
 
     def one_seed(index: int):
         value, deriv = _speed_draw(spec, index)
@@ -1199,21 +1168,14 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
         sup_speed = float(np.abs(lam(xs)).max())
 
         gaps = []
-        finals = None
         for e in levels:
             emb = EmbeddedField1D(lam_proc, mol, float(e))
             sol = wave_to_system(FromX(emb), u0, u0_slope, u1).solve(
                 base, spec.horizon, spec.dt, x_step=spec.x_step)
-            level_gaps = []
-            for k, t in enumerate(sol.t_nodes):
-                m = sol.trust.contains(xs, t) & sol_ref.trust.contains(xs, t)
-                if m.any():
-                    level_gaps.append(np.abs(sol.tables[2][m, k]
-                                             - sol_ref.tables[2][m, k]).max())
-            gaps.append(_worst(level_gaps))
-            if e == levels[-1]:
-                finals = sol.values(
-                    2, np.array([-0.6, -0.3, 0.0, 0.3, 0.6]), spec.horizon)
+            gaps.append(_trusted_gap(sol, ref=sol_ref))
+        # the finest level's solution at the interchange probes
+        finals = sol.values(2, np.array([-0.6, -0.3, 0.0, 0.3, 0.6]),
+                            spec.horizon)
         est = halving_error_estimate(sys_ref.problem, sol_ref, base,
                                      spec.horizon, spec.dt, component=2,
                                      x_step=spec.x_step)
@@ -1221,45 +1183,34 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
 
     results = _pool_map(one_seed, range(spec.n_seeds), jobs)
 
-    rows = []
-    n_mono = 0
-    finals = []
-    for idx, (gaps, est, sup_speed, fin) in enumerate(results):
-        mono = _strictly_decreasing(gaps)
-        n_mono += int(mono)
-        finals.append(fin)
-        for k, e in enumerate(levels):
-            rows.append((idx, float(e), gaps[k], est, sup_speed, int(mono)))
-    worst_ratio = _worst(gaps[-1] / est for gaps, est, _, _ in results)
-    worst_speed = _worst(sup_speed for _, _, sup_speed, _ in results)
-    checks.append(CheckResult("gap-decreasing-every-seed",
-                              n_mono == spec.n_seeds, float(n_mono),
-                              float(spec.n_seeds),
-                              "sup gap vs unsmoothed-speed reference"))
-    checks.append(CheckResult("final-gap-vs-discretization",
-                              worst_ratio <= spec.gap_ratio_bound,
-                              worst_ratio, spec.gap_ratio_bound,
-                              "finest gap over halving error estimate"))
-    checks.append(CheckResult("speed-bound-audit",
-                              worst_speed <= spec.slope_bound, worst_speed,
-                              spec.slope_bound,
-                              "sampled sup of the unsmoothed speed"))
+    mono = [int(_strictly_decreasing(gaps)) for gaps, _, _, _ in results]
+    n_mono = sum(mono)
+    rows = [(idx, float(e), gaps[k], est, sup_speed, mono[idx])
+            for idx, (gaps, est, sup_speed, _) in enumerate(results)
+            for k, e in enumerate(levels)]
+    checks += [
+        CheckResult("gap-decreasing-every-seed", n_mono == spec.n_seeds,
+                    float(n_mono), float(spec.n_seeds),
+                    "sup gap vs unsmoothed-speed reference"),
+        _bounded("final-gap-vs-discretization",
+                 _worst(gaps[-1] / est for gaps, est, _, _ in results),
+                 spec.gap_ratio_bound, "finest gap over halving error estimate"),
+        _bounded("speed-bound-audit",
+                 _worst(sup_speed for _, _, sup_speed, _ in results),
+                 spec.slope_bound, "sampled sup of the unsmoothed speed")]
 
-    finals = np.array(finals)
-    interchange, check = _interchange("final-level-probes", finals)
+    interchange, check = _interchange(
+        "final-level-probes", np.array([fin for _, _, _, fin in results]))
     checks.append(check)
 
-    ladder_rows = [[float(e)] for e in levels]
-    return ScenarioReport(
-        scenario="random-speed-wave", master_seed=spec.master_seed,
-        config=_echo(spec),
-        seeds=[("speed-field", spec.n_seeds,
-                int(subseed(spec.master_seed, "speed-field", 0)))],
-        ladder=ladder_rows, ladder_columns=["eps"],
+    return _report(
+        "random-speed-wave", spec, t_start,
+        seeds=[_seed_row(spec, "speed-field", spec.n_seeds)],
+        ladder=[[float(e)] for e in levels], ladder_columns=["eps"],
         tables=[Table("seed_gaps",
                       ["seed_index", "eps", "sup_gap", "halving_estimate",
                        "sup_speed", "decreasing"], rows)],
-        checks=checks, interchange=interchange, elapsed=time.time() - t_start)
+        checks=checks, interchange=interchange)
 
 
 SCENARIOS = {

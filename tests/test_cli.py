@@ -215,8 +215,16 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
     ("ogawa", {"eps": -0.01}, "eps must lie in"),
     ("ogawa", {"check_times": []}, "check_times must be"),
     ("ogawa", {"n_samples": 1}, "n_samples must be >= 2"),
+    ("calibration", {"dt": 0.0}, "dt must be positive"),
+    ("calibration", {"kappa": -1.0}, "kappa must be positive"),
+    ("geometric-wave", {"curves": ["c1-sine"],
+                        "sine_ladder": {"eps0": 0.2, "ratio": 0.5, "count": 1}},
+     "sine_ladder count must be >= 2"),
+    ("geometric-wave", {"sine_chart_nodes": 2}, "sine_chart_nodes must be >= 3"),
 ], ids=["speed-lo-negative", "empty-domain", "ogawa-eps-negative",
-        "ogawa-no-check-times", "ogawa-one-sample"])
+        "ogawa-no-check-times", "ogawa-one-sample", "calibration-dt-zero",
+        "calibration-kappa-negative", "geometric-one-level-sine-ladder",
+        "geometric-two-chart-nodes"])
 def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
                                                        scenario, overrides,
                                                        message):

@@ -9,6 +9,7 @@ from roughwave.errors import EmptyDomainError, ParameterError
 from roughwave.mollify import EpsLadder, build_mollifier
 from roughwave.scenarios import (
     AdditiveNoiseSpec,
+    CalibrationSpec,
     GeometricSpec,
     OgawaSpec,
     RandomSpeedSpec,
@@ -442,6 +443,86 @@ def test_random_speed_spec_rejects_meaningless_values(overrides, message):
 def test_ogawa_spec_rejects_meaningless_values(overrides, message):
     with pytest.raises(ParameterError, match=message):
         OgawaSpec(master_seed=1, **overrides)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"kappa": -1.0}, "kappa must be positive"),
+    ({"horizon": 0.0}, "horizon must be positive"),
+    ({"dt": 0.0}, "dt must be positive"),
+    ({"x_step": -0.01}, "x_step must be positive"),
+    ({"transport_time": float("nan")}, "transport_time must be positive"),
+    ({"transport_tol": 0.0}, "transport_tol must be positive"),
+    ({"wave_tol": -1e-4}, "wave_tol must be positive"),
+], ids=["kappa-negative", "horizon-zero", "dt-zero", "x-step-negative",
+        "transport-time-nan", "transport-tol-zero", "wave-tol-negative"])
+def test_calibration_spec_rejects_meaningless_values(overrides, message):
+    with pytest.raises(ParameterError, match=message):
+        CalibrationSpec(master_seed=1, **overrides)
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"sine_ladder": EpsLadder(0.2, 0.5, 1)}, "sine_ladder count must be >= 2"),
+    ({"brownian_ladder": EpsLadder(0.32, 0.4, 1)},
+     "brownian_ladder count must be >= 2"),
+    ({"eval_time": 0.0}, "eval_time must be positive"),
+    ({"closed_form_tol": -1e-4}, "closed_form_tol must be positive"),
+    ({"sine_final_bound": 0.0}, "sine_final_bound must be positive"),
+    ({"brownian_final_bound": float("nan")},
+     "brownian_final_bound must be positive"),
+    ({"path_halfwidth": -5.0}, "path_halfwidth must be positive"),
+    ({"sine_chart_nodes": 2}, "sine_chart_nodes must be >= 3"),
+], ids=["one-level-sine-ladder", "one-level-brownian-ladder", "eval-time-zero",
+        "closed-form-tol-negative", "sine-bound-zero", "brownian-bound-nan",
+        "halfwidth-negative", "two-chart-nodes"])
+def test_geometric_spec_rejects_meaningless_values(overrides, message):
+    with pytest.raises(ParameterError, match=message):
+        GeometricSpec(master_seed=1, **overrides)
+
+
+def test_norm_interchange_records_the_bound_it_applies(monkeypatch):
+    # a sup of norms 5e-13 above the norm of sups is inside the check's
+    # 1e-12 rounding allowance, so the recorded bound must admit it too
+    real = scenarios.norm_interchange
+
+    def lifted(values, p):
+        rhs = real(values, p)[1]
+        return rhs + 5e-13, rhs
+
+    monkeypatch.setattr(scenarios, "norm_interchange", lifted)
+    rep = run_ogawa(OgawaSpec(master_seed=MASTER_SEED, n_samples=20))
+    check = next(c for c in rep.checks if c.name == "norm-interchange")
+    assert check.observed == pytest.approx(5e-13)
+    assert check.passed
+    assert check.observed <= check.bound
+
+
+# the checks each default report makes, in order; a dropped or renamed
+# check changes no CSV, only verdicts.txt
+CHECK_NAMES = {
+    "calibration_report": [
+        "transport-analytic", "transport-solver", "wave-displacement-data",
+        "wave-velocity-data"],
+    "ogawa_report": [
+        "spread-quadrature", "shift-identity", "spread-monte-carlo",
+        "reference-dual-route", "mean-vs-reference", "heat-residual",
+        "mean-vs-heat-profile", "norm-interchange"],
+    "additive_report": [
+        "variance-at-points", "covariance-overlap", "covariance-disjoint",
+        "cauchy-decreasing", "cauchy-spot-monte-carlo", "norm-interchange"],
+    "geometric_report": [
+        "flat-dalembert", "linear-dalembert", "sine-gamma-decreasing",
+        "sine-gamma-final", "brownian-gamma-decreasing", "brownian-gamma-final",
+        "brownian-solution-limit"],
+    "random_speed_report": [
+        "constant-speed-dalembert", "gap-decreasing-every-seed",
+        "final-gap-vs-discretization", "speed-bound-audit", "norm-interchange"],
+}
+
+
+@pytest.mark.parametrize("fixture", sorted(CHECK_NAMES))
+def test_default_reports_keep_their_check_names_and_order(request, fixture):
+    report = request.getfixturevalue(fixture)
+    assert [c.name for c in report.checks] == CHECK_NAMES[fixture]
 
 
 def test_run_without_checks_fails(tmp_path):
