@@ -1,8 +1,8 @@
 """Characteristic curves of dx/dt = c(x, t) and their geometry.
 
 Two independent integration routes are kept deliberately separate: a
-vectorized fixed-step RK4 (`integrate_characteristic`, `flow_map`) and a
-global Picard iteration on a fixed time lattice
+vectorized fixed-step RK4 (`flow_levels`), which the solver's feet
+tables march, and a global Picard iteration on a fixed time lattice
 (`picard_characteristic_oracle`).  They share no code path, so agreement
 between them is evidence, not tautology.
 
@@ -28,25 +28,6 @@ from .errors import (
 )
 from .smooth import Field1D, Field2D, Interval
 
-DEFAULT_MIN_STEPS = 64
-ROUGH_STEP_FRACTION = 1.0 / 16.0  # of the field's intrinsic scale
-
-
-def _step_count(speed: Field2D, t0: float, t1: float, n_steps: int | None) -> int:
-    if n_steps is not None:
-        if n_steps < 1:
-            raise ParameterError("n_steps must be >= 1")
-        return int(n_steps)
-    span = abs(t1 - t0)
-    if span == 0.0:
-        return 1
-    n = DEFAULT_MIN_STEPS
-    scale = getattr(speed, "scale", None)
-    if scale is not None and np.isfinite(scale):
-        n = max(n, int(np.ceil(span / (scale * ROUGH_STEP_FRACTION))))
-    return n
-
-
 def _clip_to_domain(speed: Field2D, x: np.ndarray, t: float):
     dom = speed.domain
     xc = np.clip(x, dom.x.lo, dom.x.hi)
@@ -54,20 +35,30 @@ def _clip_to_domain(speed: Field2D, x: np.ndarray, t: float):
     return xc, tc
 
 
-def _rk4_sweep(speed: Field2D, xs0: np.ndarray, t0: float, t1: float, n: int):
-    """March all walkers together; freeze any that leave the x-domain.
+def flow_levels(
+    speed: Field2D,
+    xs: np.ndarray,
+    t0: float | np.ndarray,
+    t1: float | np.ndarray,
+    n_steps: int,
+) -> np.ndarray:
+    """Positions at every RK4 level, shape (n_steps+1,) + xs.shape.
 
-    Returns (positions at every level, alive mask, first escape time).
-    Stage points are clipped to the domain so the field never sees
-    out-of-range queries; escape is judged on the unclipped update.  t0
-    and t1 may be arrays that broadcast against xs0 (one time span per
-    column).
+    All walkers march together.  Stage points are clipped to the domain
+    so the field never sees out-of-range queries; a walker whose
+    unclipped update leaves the x-domain freezes at its last interior
+    position instead of raising, so callers that tabulate past the
+    determinacy region must quarantine those entries themselves.  t0
+    and t1 may be arrays that broadcast against xs, giving each column
+    its own time span.
     """
+    n = int(n_steps)
+    if n < 1:
+        raise ParameterError("n_steps must be >= 1")
     h = (t1 - t0) / n
     dom = speed.domain
-    xs = np.array(xs0, dtype=float)
+    xs = np.array(xs, dtype=float)
     alive = np.ones(xs.shape, dtype=bool)
-    first_exit = np.inf
     levels = np.empty((n + 1,) + xs.shape)
     levels[0] = xs
 
@@ -83,75 +74,9 @@ def _rk4_sweep(speed: Field2D, xs0: np.ndarray, t0: float, t1: float, n: int):
         k4 = f(xs + h * k3, t + h)
         step = xs + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         nxt = np.where(alive, step, xs)
-        escaped = alive & ((nxt < dom.x.lo) | (nxt > dom.x.hi))
-        if np.any(escaped):
-            first_exit = min(first_exit, float(np.min(t + h)))
-            alive = alive & ~escaped
+        alive = alive & ~((nxt < dom.x.lo) | (nxt > dom.x.hi))
         xs = np.where(alive, nxt, xs)
         levels[k + 1] = xs
-    return levels, alive, first_exit
-
-
-def integrate_characteristic(
-    speed: Field2D,
-    x0: float,
-    t0: float,
-    t1: float,
-    n_steps: int | None = None,
-):
-    """RK4 path of dx/dt = c(x,t) from (x0, t0) to time t1.
-
-    Returns (ts, xs) arrays of length n+1.  Raises DomainEscapeError
-    (with the approximate exit time attached) if the path leaves the
-    x-extent of the speed field's domain.
-    """
-    n = _step_count(speed, t0, t1, n_steps)
-    levels, alive, exit_t = _rk4_sweep(speed, np.array([x0]), t0, t1, n)
-    if not alive[0]:
-        raise DomainEscapeError(
-            f"characteristic from x0={x0} left the domain near t={exit_t:.6g}",
-            exit_time=exit_t,
-        )
-    ts = np.linspace(t0, t1, n + 1)
-    return ts, levels[:, 0]
-
-
-def flow_map(
-    speed: Field2D,
-    xs: np.ndarray,
-    t0: float,
-    t1: float,
-    n_steps: int | None = None,
-) -> np.ndarray:
-    """Endpoint positions of the characteristic flow for many starts at once."""
-    xs = np.asarray(xs, dtype=float)
-    n = _step_count(speed, t0, t1, n_steps)
-    levels, alive, exit_t = _rk4_sweep(speed, xs, t0, t1, n)
-    if not np.all(alive):
-        raise DomainEscapeError(
-            f"{np.count_nonzero(~alive)} characteristic(s) left the domain "
-            f"near t={exit_t:.6g}",
-            exit_time=exit_t,
-        )
-    return levels[-1]
-
-
-def flow_levels(
-    speed: Field2D,
-    xs: np.ndarray,
-    t0: float | np.ndarray,
-    t1: float | np.ndarray,
-    n_steps: int,
-) -> np.ndarray:
-    """Positions at every RK4 level, shape (n_steps+1,) + xs.shape.
-
-    Escaped walkers freeze at their last interior position instead of
-    raising; callers that tabulate past the determinacy region must
-    quarantine those entries themselves.  t0 and t1 may be arrays that
-    broadcast against xs, giving each column its own time span.
-    """
-    xs = np.asarray(xs, dtype=float)
-    levels, _, _ = _rk4_sweep(speed, xs, t0, t1, int(n_steps))
     return levels
 
 
@@ -202,10 +127,7 @@ def picard_characteristic_oracle(
         )
     if np.any(xs < dom.x.lo) or np.any(xs > dom.x.hi):
         bad = np.argmax((xs < dom.x.lo) | (xs > dom.x.hi))
-        raise DomainEscapeError(
-            f"picard path left the domain near t={ts[bad]:.6g}",
-            exit_time=float(ts[bad]),
-        )
+        raise DomainEscapeError(f"picard path left the domain near t={ts[bad]:.6g}")
     return PicardResult(ts=ts, xs=xs, gaps=np.array(gaps))
 
 

@@ -17,10 +17,6 @@ class ShapeMismatchError(RoughwaveError, ValueError):
     """Tabulated data does not match the grid it is paired with."""
 
 
-class KernelNotPSDError(RoughwaveError, ValueError):
-    """Covariance matrix failed Cholesky even after the allowed jitter."""
-
-
 class ResolutionError(RoughwaveError, ValueError):
     """Tabulation step too coarse for the requested smoothing scale."""
 
@@ -31,10 +27,6 @@ class DomainError(RoughwaveError, ValueError):
 
 class DomainEscapeError(RoughwaveError, RuntimeError):
     """A characteristic left the coefficient domain before the target time."""
-
-    def __init__(self, message, exit_time=None):
-        super().__init__(message)
-        self.exit_time = exit_time
 
 
 class EmptyDomainError(RoughwaveError, ValueError):

@@ -62,9 +62,5 @@ class Grid2D:
     t: Grid1D
 
     @property
-    def shape(self) -> tuple[int, int]:
-        return (self.x.count, self.t.count)
-
-    @property
     def cell_measure(self) -> float:
         return self.x.step * self.t.step

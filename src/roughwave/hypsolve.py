@@ -44,11 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .characteristics import (
-    ROUGH_STEP_FRACTION,
-    determinacy_domain,
-    flow_levels,
-)
+from .characteristics import determinacy_domain, flow_levels
 from .errors import (
     DomainError,
     InvertibilityError,
@@ -72,6 +68,7 @@ from .smooth import (
 
 GENERAL_PATH_BYTE_CAP = 2 * 10**8
 AUDIT_FACTOR = 10.0
+ROUGH_STEP_FRACTION = 1.0 / 16.0  # RK4 substep, of the speed's intrinsic scale
 
 
 @dataclass
@@ -318,8 +315,11 @@ def solve_system(
     after convergence must stay below AUDIT_FACTOR * tol, which guards
     against a lucky small step masquerading as a fixed point.
     """
-    if dt <= 0.0 or horizon <= 0.0:
-        raise ParameterError("dt and horizon must be positive")
+    if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
+        raise ParameterError(
+            f"dt and horizon must be positive and finite, got {dt} and {horizon}")
+    if x_step is not None and not 0.0 < x_step < np.inf:
+        raise ParameterError(f"x_step must be positive and finite, got {x_step}")
     n_levels = max(1, int(round(horizon / dt)))
     dt_eff = horizon / n_levels
     t_nodes = np.linspace(0.0, horizon, n_levels + 1)

@@ -11,11 +11,6 @@ Gaussian-tail discrepancy.
 Derivatives of the smoothed field convolve with the derivative of the
 kernel, so differentiation and smoothing commute by construction.
 
-A path (one axis) and a sheet (two) share one per-axis window, _Axis: its
-checks, its safe interval, the 2*hw+1 nodes and kernel weights around
-each query point, and the kernel row that table() convolves with.  Both
-evaluate at most _CHUNK_ENTRIES window entries per chunk.
-
 Kernel evaluation forms the Leibniz sum of cutoff and Gaussian terms only
 on the transition band cutoff_inner < |z| < cutoff_outer.  On the plateau
 |z| <= cutoff_inner the cutoff is exactly 1 and its derivatives exactly 0,
@@ -38,19 +33,16 @@ from numpy.polynomial import Polynomial
 from scipy.special import expit
 
 from .errors import DomainError, ParameterError, ResolutionError, ScaleError
-from .fields import SampledField2D, SampledProcess
-from .smooth import Field1D, Field2D, Interval, Rect
-
-# scipy.signal is imported inside the .table methods: it is slow to import
-# and no scenario run tabulates a field
+from .fields import SampledProcess
+from .smooth import Field1D, Interval
 
 _ALLOWED_MOMENTS = (0, 2, 4, 6)
 _SCALE_MAPS = ("identity", "log", "loglog")
 
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 
-# Window entries per chunk of EmbeddedField1D.values and EmbeddedField2D.values
-# (wx * wt per point in 2D): each chunk temporary stays at 8 MiB.
+# Window entries per chunk of EmbeddedField1D.values: each chunk temporary
+# stays at 8 MiB.
 _CHUNK_ENTRIES = 1 << 20
 
 
@@ -296,49 +288,12 @@ class EpsLadder:
         return float(s)
 
 
-class _Axis:
-    """Checks, safe interval and kernel windows of one grid axis at one scale."""
-
-    def __init__(self, grid, mol: Mollifier, scale: float, base_order: int):
-        if not (0.0 < scale <= 1.0):
-            raise ParameterError(f"kernel scale must be in (0, 1], got {scale}")
-        if base_order < 0:
-            raise ParameterError(f"derivative order must be >= 0, got {base_order}")
-        if grid.step > scale / 8.0 + 1e-15:
-            raise ResolutionError(
-                f"grid step {grid.step} too coarse for scale {scale}: need <= scale/8"
-            )
-        r = mol.support_radius(scale)
-        if grid.lower + r + 4 * grid.step >= grid.upper - r - 4 * grid.step:
-            raise DomainError(
-                f"kernel support radius {r} leaves no safe interior in "
-                f"[{grid.lower}, {grid.upper}]"
-            )
-        self.grid = grid
-        self.mol = mol
-        self.scale = float(scale)
-        self.base = base_order
-        self.safe = Interval(grid.lower + r, grid.upper - r)
-        self.hw = int(np.ceil(r / grid.step)) + 1
-        self.width = 2 * self.hw + 1
-
-    def window(self, xs: np.ndarray, order: int):
-        """Gather indices and d^(base + order) kernel weights, (len(xs), width)."""
-        g = self.grid
-        j0 = np.floor((xs - g.lower) / g.step).astype(np.int64) - self.hw
-        j0 = np.clip(j0, 0, g.count - self.width)
-        idx = j0[:, None] + np.arange(self.width)[None, :]
-        z = xs[:, None] - (g.lower + idx * g.step)
-        return idx, self.mol.kernel_values(z, self.scale, self.base + order)
-
-    def kernel_row(self, order: int) -> np.ndarray:
-        """d^(base + order) kernel at the offsets -hw..hw steps, for table()."""
-        offsets = (np.arange(self.width) - self.hw) * self.grid.step
-        return self.mol.kernel_values(offsets, self.scale, self.base + order)
-
-
 class EmbeddedField1D(Field1D):
-    """Path smoothed at a fixed scale; derivatives via kernel derivatives."""
+    """Path smoothed at a fixed scale; derivatives via kernel derivatives.
+
+    A query point reads the 2*hw+1 path nodes around it, weighted by the
+    kernel derivative of order base_order + order.
+    """
 
     def __init__(
         self,
@@ -348,55 +303,54 @@ class EmbeddedField1D(Field1D):
         base_order: int = 0,
         eps: float | None = None,
     ):
-        self._axis = _Axis(process.grid, mol, kernel_scale, base_order)
+        grid = process.grid
+        if not (0.0 < kernel_scale <= 1.0):
+            raise ParameterError(f"kernel scale must be in (0, 1], got {kernel_scale}")
+        if base_order < 0:
+            raise ParameterError(f"derivative order must be >= 0, got {base_order}")
+        if grid.step > kernel_scale / 8.0 + 1e-15:
+            raise ResolutionError(
+                f"grid step {grid.step} too coarse for scale {kernel_scale}: need <= scale/8"
+            )
+        r = mol.support_radius(kernel_scale)
+        if grid.lower + r + 4 * grid.step >= grid.upper - r - 4 * grid.step:
+            raise DomainError(
+                f"kernel support radius {r} leaves no safe interior in "
+                f"[{grid.lower}, {grid.upper}]"
+            )
         self.process = process
-        self.scale = self._axis.scale
+        self.mol = mol
+        self.scale = float(kernel_scale)
         self.base_order = base_order
         self.eps = self.scale if eps is None else float(eps)
-        self.domain = self._axis.safe
-        self._tables: dict[int, np.ndarray] = {}
-
-    # -- Field1D interface ----------------------------------------------
+        self.domain = Interval(grid.lower + r, grid.upper - r)
+        self._hw = int(np.ceil(r / grid.step)) + 1
+        self._width = 2 * self._hw + 1
 
     def values(self, x, order: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         self.check_domain(x)
-        step = self.process.grid.step
+        g = self.process.grid
         flat = np.ravel(x)
         out = np.empty(flat.shape)
-        max_chunk = max(1, _CHUNK_ENTRIES // self._axis.width)
+        max_chunk = max(1, _CHUNK_ENTRIES // self._width)
         for lo in range(0, flat.size, max_chunk):
-            idx, w = self._axis.window(flat[lo : lo + max_chunk], order)
-            out[lo : lo + max_chunk] = (w * self.process.values[idx]).sum(axis=1) * step
+            xs = flat[lo : lo + max_chunk]
+            j0 = np.floor((xs - g.lower) / g.step).astype(np.int64) - self._hw
+            j0 = np.clip(j0, 0, g.count - self._width)
+            idx = j0[:, None] + np.arange(self._width)[None, :]
+            w = self.mol.kernel_values(xs[:, None] - (g.lower + idx * g.step),
+                                       self.scale, self.base_order + order)
+            out[lo : lo + max_chunk] = (w * self.process.values[idx]).sum(axis=1) * g.step
             # Free idx, keep w until the next window replaces it: holding
             # both raises peak RSS, freeing both costs wall time.
             del idx
         return out.reshape(x.shape)
 
-    def table(self, order: int = 0) -> np.ndarray:
-        """Field tabulated on the path grid (trustworthy inside .domain)."""
-        k = self.base_order + order
-        if k not in self._tables:
-            v = self._axis.kernel_row(order)
-            p = self.process.values
-            if v.size <= 1024 and v.size <= p.size:
-                conv = np.convolve(p, v, mode="same")
-            else:
-                from scipy.signal import fftconvolve
-                conv = fftconvolve(p, v, mode="same")
-            self._tables[k] = conv * self.process.grid.step
-        return self._tables[k]
-
-    def safe_slice(self) -> slice:
-        g = self.process.grid
-        i0 = int(np.ceil((self.domain.lo - g.lower) / g.step - 1e-9))
-        i1 = int(np.floor((self.domain.hi - g.lower) / g.step + 1e-9))
-        return slice(i0, i1 + 1)
-
     def shift_order(self, delta: int) -> "EmbeddedField1D":
         """Same smoothing, different base derivative order."""
         return EmbeddedField1D(
-            self.process, self._axis.mol, self.scale, self.base_order + delta, self.eps
+            self.process, self.mol, self.scale, self.base_order + delta, self.eps
         )
 
     def integral(self, a: float, b: float) -> float:
@@ -407,53 +361,8 @@ class EmbeddedField1D(Field1D):
         return super().integral(a, b)
 
 
-class EmbeddedField2D(Field2D):
-    """Two-parameter tabulation smoothed with a tensor-product kernel."""
-
-    def __init__(
-        self,
-        process: SampledField2D,
-        mol: Mollifier,
-        kernel_scale: float,
-        base_dx: int = 0,
-        base_dt: int = 0,
-        eps: float | None = None,
-    ):
-        g = process.grid
-        self._x = _Axis(g.x, mol, kernel_scale, base_dx)
-        self._t = _Axis(g.t, mol, kernel_scale, base_dt)
-        self.process = process
-        self.scale = self._x.scale
-        self.eps = self.scale if eps is None else float(eps)
-        self.domain = Rect(self._x.safe, self._t.safe)
-
-    def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        self.check_domain(x, t)
-        shape = np.broadcast_shapes(x.shape, t.shape)
-        xs = np.ravel(np.broadcast_to(x, shape)).astype(float)
-        ts = np.ravel(np.broadcast_to(t, shape)).astype(float)
-        out = np.empty(xs.shape)
-        max_chunk = max(1, _CHUNK_ENTRIES // (self._x.width * self._t.width))
-        for lo in range(0, xs.size, max_chunk):
-            ix, wzx = self._x.window(xs[lo : lo + max_chunk], dx)
-            it, wzt = self._t.window(ts[lo : lo + max_chunk], dt)
-            patch = self.process.values[ix[:, :, None], it[:, None, :]]
-            out[lo : lo + max_chunk] = np.einsum("pi,pij,pj->p", wzx, patch, wzt)
-        return (out * self.process.grid.cell_measure).reshape(shape)
-
-    def table(self, dx: int = 0, dt: int = 0) -> np.ndarray:
-        from scipy.signal import fftconvolve
-        kern = np.outer(self._x.kernel_row(dx), self._t.kernel_row(dt))
-        conv = fftconvolve(self.process.values, kern, mode="same")
-        return conv * self.process.grid.cell_measure
-
-
-def embed_path(process, mol: Mollifier, eps: float):
-    """Smooth a tabulated path (or 2d field) at scale eps."""
-    if isinstance(process, SampledField2D):
-        return EmbeddedField2D(process, mol, eps, eps=eps)
+def embed_path(process: SampledProcess, mol: Mollifier, eps: float):
+    """Smooth a tabulated path at scale eps."""
     return EmbeddedField1D(process, mol, eps, base_order=0, eps=eps)
 
 

@@ -129,9 +129,9 @@ class AnalyticField1D(Field1D):
         self.scale = scale
 
     def values(self, x, order: int = 0) -> np.ndarray:
-        if order >= len(self._fns):
+        if not 0 <= order < len(self._fns):
             raise ParameterError(
-                f"field provides derivatives up to order {len(self._fns) - 1}, got {order}"
+                f"field provides derivatives of order 0 to {len(self._fns) - 1}, got {order}"
             )
         x = np.asarray(x, dtype=float)
         self.check_domain(x)
@@ -220,9 +220,6 @@ class ConstantField2D(Field2D):
         if dx == 0 and dt == 0:
             return np.full(out_shape, self.c)
         return np.zeros(out_shape)
-
-
-ZERO_2D = ConstantField2D(0.0)
 
 
 def is_zero_field(f: Field2D | None) -> bool:

@@ -6,8 +6,6 @@ from roughwave.characteristics import (
     DeterminacyTrapezoid,
     determinacy_domain,
     flow_levels,
-    flow_map,
-    integrate_characteristic,
     picard_characteristic_oracle,
 )
 from roughwave.errors import (
@@ -38,36 +36,37 @@ def analytic_speed():
 
 def test_constant_speed_is_exact():
     c = ConstantField2D(0.7)
-    ts, xs = integrate_characteristic(c, x0=0.2, t0=0.0, t1=1.5)
+    xs = flow_levels(c, np.array([0.2]), 0.0, 1.5, 64)[:, 0]
+    ts = np.linspace(0.0, 1.5, 65)
     assert abs(xs[-1] - (0.2 + 0.7 * 1.5)) <= 1e-12
     assert np.allclose(xs, 0.2 + 0.7 * ts, atol=1e-12)
 
 
 def test_linear_speed_matches_exponential():
     c = AnalyticField2D({(0, 0): lambda x, t: x + 0.0 * t})
-    ts, xs = integrate_characteristic(c, x0=0.5, t0=0.0, t1=1.0, n_steps=200)
+    xs = flow_levels(c, np.array([0.5]), 0.0, 1.0, 200)[:, 0]
     assert abs(xs[-1] - 0.5 * np.e) <= 1e-9
 
 
 def test_backward_integration_inverts_forward():
     c = analytic_speed()
-    _, fwd = integrate_characteristic(c, x0=-0.3, t0=0.0, t1=1.0, n_steps=400)
-    _, back = integrate_characteristic(c, x0=fwd[-1], t0=1.0, t1=0.0, n_steps=400)
+    fwd = flow_levels(c, np.array([-0.3]), 0.0, 1.0, 400)[:, 0]
+    back = flow_levels(c, fwd[-1:], 1.0, 0.0, 400)[:, 0]
     assert abs(back[-1] - (-0.3)) <= 1e-9
 
 
 def test_flow_semigroup_property():
     c = analytic_speed()
     xs = np.linspace(-1.0, 1.0, 9)
-    direct = flow_map(c, xs, 0.0, 1.2, n_steps=600)
-    half = flow_map(c, xs, 0.0, 0.6, n_steps=300)
-    relay = flow_map(c, half, 0.6, 1.2, n_steps=300)
+    direct = flow_levels(c, xs, 0.0, 1.2, 600)[-1]
+    half = flow_levels(c, xs, 0.0, 0.6, 300)[-1]
+    relay = flow_levels(c, half, 0.6, 1.2, 300)[-1]
     assert np.max(np.abs(direct - relay)) <= 1e-9
 
 
 def test_picard_agrees_with_rk4():
     c = analytic_speed()
-    _, xs = integrate_characteristic(c, x0=0.1, t0=0.0, t1=1.0, n_steps=800)
+    xs = flow_levels(c, np.array([0.1]), 0.0, 1.0, 800)[:, 0]
     pic = picard_characteristic_oracle(c, x0=0.1, t0=0.0, t1=1.0, n_nodes=4097)
     assert abs(pic.endpoint - xs[-1]) <= 1e-8
     # update sizes decay geometrically once the iteration settles
@@ -84,14 +83,6 @@ def test_picard_iteration_limit():
         picard_characteristic_oracle(c, 0.1, 0.0, 1.0, n_nodes=65, max_iter=2)
 
 
-def test_domain_escape_reports_exit_time():
-    c = ConstantField2D(1.0, domain=Rect(Interval(-1.0, 1.0), Interval(-5.0, 5.0)))
-    with pytest.raises(DomainEscapeError) as err:
-        integrate_characteristic(c, x0=0.95, t0=0.0, t1=0.5, n_steps=500)
-    assert err.value.exit_time is not None
-    assert 0.0 < err.value.exit_time < 0.2
-
-
 def test_flow_levels_freezes_escaping_walker():
     # unit speed on [-1, 1]: the walker from 0.4 would reach 1.15 on the
     # third step, so it stays at its last interior position 0.9
@@ -100,16 +91,6 @@ def test_flow_levels_freezes_escaping_walker():
     assert levels.shape == (5, 2)
     assert np.allclose(levels[:, 0], [0.4, 0.65, 0.9, 0.9, 0.9], atol=1e-12)
     assert np.allclose(levels[:, 1], [-0.9, -0.65, -0.4, -0.15, 0.1], atol=1e-12)
-
-
-def test_flow_levels_endpoint_matches_flow_map():
-    # backward in time, as the solver's feet tables march
-    c = analytic_speed()
-    xs = np.linspace(-1.0, 1.0, 9)
-    levels = flow_levels(c, xs, 1.2, 0.0, 50)
-    assert levels.shape == (51, 9)
-    np.testing.assert_array_equal(levels[0], xs)
-    np.testing.assert_array_equal(levels[-1], flow_map(c, xs, 1.2, 0.0, n_steps=50))
 
 
 def test_flow_levels_per_column_times_match_scalar_calls():
@@ -181,19 +162,6 @@ def test_time_dependent_speed_bound_reaches_horizon():
     c = AnalyticField2D({(0, 0): lambda x, t: 1.0 + t + 0.0 * x})
     trap = determinacy_domain(c, Interval(-1.0, 1.0), horizon=0.4)
     assert trap.speed_bound == 1.01 * (1.0 + 0.4)
-
-
-def test_rough_speed_gets_capped_steps():
-    eps = 0.05
-    step = eps / 8
-    grid = Grid1D.from_bounds(-4.0, 4.0, int(round(8.0 / step)) + 1)
-    w = sample_brownian_1d(grid, seed=11)
-    mol = build_mollifier(moments=2)
-    lifted = FromX(embed_path(w, mol, eps))
-    assert np.isfinite(lifted.scale)
-    ts, _ = integrate_characteristic(lifted, 0.0, 0.0, 1.0)
-    # step no coarser than scale/16
-    assert (ts[1] - ts[0]) <= lifted.scale / 16.0 + 1e-15
 
 
 # ------------------------------------------------------------- arclength
@@ -270,7 +238,7 @@ def test_trapezoid_contains_vectorized():
 def test_parameter_guards():
     c = analytic_speed()
     with pytest.raises(ParameterError):
-        integrate_characteristic(c, 0.0, 0.0, 1.0, n_steps=0)
+        flow_levels(c, np.array([0.0]), 0.0, 1.0, 0)
     with pytest.raises(ParameterError):
         determinacy_domain(c, Interval(-1.0, 1.0), horizon=-1.0)
     with pytest.raises(ParameterError):

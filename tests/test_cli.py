@@ -221,10 +221,13 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
                         "sine_ladder": {"eps0": 0.2, "ratio": 0.5, "count": 1}},
      "sine_ladder count must be >= 2"),
     ("geometric-wave", {"sine_chart_nodes": 2}, "sine_chart_nodes must be >= 3"),
+    ("random-speed-wave",
+     {"ladder": {"eps0": 0.4, "ratio": 0.5, "count": 4, "scale_map": "log"}},
+     "ladder scale_map must be 'identity'"),
 ], ids=["speed-lo-negative", "empty-domain", "ogawa-eps-negative",
         "ogawa-no-check-times", "ogawa-one-sample", "calibration-dt-zero",
         "calibration-kappa-negative", "geometric-one-level-sine-ladder",
-        "geometric-two-chart-nodes"])
+        "geometric-two-chart-nodes", "random-speed-log-scale-map"])
 def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
                                                        scenario, overrides,
                                                        message):
@@ -238,7 +241,7 @@ def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
 
 
 def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is slow to import and only field tabulation needs it
+    # scipy.signal is slow to import and nothing in the package needs it
     src = os.path.dirname(os.path.dirname(roughwave.__file__))
     code = "import sys, roughwave.cli; print('scipy.signal' in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], check=True,

@@ -3,18 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roughwave.errors import (
-    KernelNotPSDError,
-    ParameterError,
-    ShapeMismatchError,
-)
+from roughwave.errors import ShapeMismatchError
 from roughwave.fields import (
-    CovarianceKernel,
     SampledProcess,
-    ou_process,
     sample_brownian_1d,
-    sample_brownian_2d,
-    sample_stationary_gaussian,
     translation_transform,
     white_noise_action,
     white_noise_field,
@@ -63,90 +55,15 @@ def test_brownian_terminal_variance_and_covariance(unit_grid):
     assert np.mean(w3 * w7) == pytest.approx(0.3, abs=MC_TOL)
 
 
-def test_brownian_sheet_covariance():
-    g = Grid2D(Grid1D.from_bounds(0.0, 1.0, 21), Grid1D.from_bounds(0.0, 1.0, 21))
-    n = 4000
-    a = np.empty(n)
-    b = np.empty(n)
-    for s in range(n):
-        sheet = sample_brownian_2d(g, seed=s).values
-        a[s] = sheet[10, 20]  # W(0.5, 1.0)
-        b[s] = sheet[20, 10]  # W(1.0, 0.5)
-    # E W(x) W(y) = min(x1,y1)*min(x2,y2) = 0.25; Var W(0.5,1) = 0.5.
-    assert np.var(a) == pytest.approx(0.5, abs=0.05)
-    assert np.mean(a * b) == pytest.approx(0.25, abs=0.05)
-
-
-def test_stationary_exponential_correlation():
-    g = Grid1D.from_bounds(0.0, 2.0, 81)
-    kern = CovarianceKernel("exponential", sigma2=1.0, ell=0.5)
-    i, j = 20, 40  # distance 0.5 -> correlation e^{-1}
-    n = 10_000
-    xi = np.empty(n)
-    xj = np.empty(n)
-    for s in range(n):
-        v = sample_stationary_gaussian(g, kern, seed=s).values
-        xi[s], xj[s] = v[i], v[j]
-    corr = np.mean(xi * xj) / np.sqrt(np.var(xi) * np.var(xj))
-    assert corr == pytest.approx(np.exp(-1.0), abs=MC_TOL)
-
-
-def test_squared_exponential_needs_jitter_but_samples():
-    g = Grid1D.from_bounds(0.0, 1.0, 64)
-    kern = CovarianceKernel("squared-exponential", sigma2=2.0, ell=0.8)
-    p = sample_stationary_gaussian(g, kern, seed=5)
-    assert np.all(np.isfinite(p.values))
-    # marginal variance should be close to sigma2 in distribution
-    n = 3000
-    v0 = np.array(
-        [sample_stationary_gaussian(g, kern, seed=s).values[32] for s in range(n)]
-    )
-    assert np.var(v0) == pytest.approx(2.0, rel=0.1)
-
-
-def test_non_psd_custom_kernel_raises():
-    g = Grid1D.from_bounds(0.0, 1.0, 16)
-    bad = CovarianceKernel("custom", sigma2=1.0, func=lambda x, y: -np.abs(x - y))
-    with pytest.raises(KernelNotPSDError):
-        sample_stationary_gaussian(g, bad, seed=0)
-
-
-def test_kernel_parameter_validation():
-    with pytest.raises(ParameterError):
-        CovarianceKernel("exponential", sigma2=0.0)
-    with pytest.raises(ParameterError):
-        CovarianceKernel("exponential", ell=-1.0)
-    with pytest.raises(ParameterError):
-        CovarianceKernel("pink-noise")
-
-
-def test_ou_stationary_moments():
-    g = Grid1D.from_bounds(0.0, 5.0, 251)
-    theta, sigma = 1.5, 0.8
-    var_stat = sigma**2 / (2 * theta)
-    lag = 25  # 0.5 time units
-    n = 8000
-    x0 = np.empty(n)
-    xlag = np.empty(n)
-    for s in range(n):
-        v = ou_process(g, theta, sigma, seed=s).values
-        x0[s], xlag[s] = v[100], v[100 + lag]
-    assert np.var(x0) == pytest.approx(var_stat, rel=0.08)
-    want = var_stat * np.exp(-theta * 0.5)
-    assert np.mean(x0 * xlag) == pytest.approx(want, abs=5 * var_stat / np.sqrt(n))
-
-
-def test_ou_parameter_validation():
-    g = Grid1D.from_bounds(0.0, 1.0, 11)
-    with pytest.raises(ParameterError):
-        ou_process(g, theta=0.0, sigma=1.0, seed=0)
-    with pytest.raises(ParameterError):
-        ou_process(g, theta=1.0, sigma=0.0, seed=0)
-
-
 @pytest.fixture(scope="module")
 def noise_grid():
     return Grid2D(Grid1D.from_bounds(-2.0, 2.0, 81), Grid1D.from_bounds(0.0, 2.0, 41))
+
+
+def _cell_tab(grid, phi):
+    # phi tabulated at the cell centres, the way the scenarios pass it
+    tab = phi(grid.x.cell_centers()[:, None], grid.t.cell_centers()[None, :])
+    return np.broadcast_to(tab, (grid.x.count - 1, grid.t.count - 1))
 
 
 def test_white_noise_isometry(noise_grid):
@@ -154,9 +71,10 @@ def test_white_noise_isometry(noise_grid):
     def phi(x, t):
         return ((x >= 0.0) & (x <= 1.0) & (t >= 0.0) & (t <= 1.0)).astype(float)
 
+    tab = _cell_tab(noise_grid, phi)
     n = 10_000
     vals = np.array(
-        [white_noise_action(white_noise_field(noise_grid, seed=s), phi) for s in range(n)]
+        [white_noise_action(white_noise_field(noise_grid, seed=s), tab) for s in range(n)]
     )
     assert np.mean(vals) == pytest.approx(0.0, abs=MC_TOL)
     assert np.var(vals) == pytest.approx(1.0, abs=MC_TOL)
@@ -169,13 +87,14 @@ def test_white_noise_disjoint_supports_uncorrelated(noise_grid):
     def right(x, t):
         return ((x >= 1.0) & (x <= 2.0)).astype(float)
 
+    left_tab, right_tab = _cell_tab(noise_grid, left), _cell_tab(noise_grid, right)
     n = 10_000
     a = np.empty(n)
     b = np.empty(n)
     for s in range(n):
         w = white_noise_field(noise_grid, seed=s)
-        a[s] = white_noise_action(w, left)
-        b[s] = white_noise_action(w, right)
+        a[s] = white_noise_action(w, left_tab)
+        b[s] = white_noise_action(w, right_tab)
     assert np.mean(a * b) == pytest.approx(0.0, abs=MC_TOL)
 
 

@@ -47,7 +47,6 @@ def test_invalid_grids_rejected(kwargs):
         Grid1D(**kwargs)
 
 
-def test_grid2d_shape_and_measure():
+def test_grid2d_cell_measure():
     g = Grid2D(Grid1D(0.0, 0.1, 11), Grid1D(0.0, 0.2, 6))
-    assert g.shape == (11, 6)
     assert g.cell_measure == pytest.approx(0.02)

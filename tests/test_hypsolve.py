@@ -37,11 +37,11 @@ from roughwave.smooth import (
     ConstantField2D,
     FromX,
     Interval,
-    ZERO_2D,
     constant_field_1d,
 )
 
 SIN = AnalyticField1D([np.sin, np.cos])
+ZERO_2D = ConstantField2D(0.0)
 ZERO_1D = constant_field_1d(0.0)
 
 
@@ -205,6 +205,35 @@ def test_triangle_memory_guard_counts_coefficient_blocks():
     assert (K + 1) ** 2 // 2 * nx * 8 <= GENERAL_PATH_BYTE_CAP
     with pytest.raises(ParameterError, match="0.50 GB"):
         solve_system(prob, Interval(-3.0, 3.0), horizon=1.0, dt=1e-3, x_step=0.25)
+
+
+@pytest.mark.parametrize("kw", [
+    {"x_step": -0.1},
+    {"x_step": 0.0},
+    {"x_step": np.inf},
+    {"x_step": np.nan},
+    {"dt": np.nan},
+    {"horizon": np.nan},
+], ids=["x-step-negative", "x-step-zero", "x-step-inf", "x-step-nan", "dt-nan",
+        "horizon-nan"])
+def test_solve_system_rejects_meaningless_steps(kw):
+    args = dict(horizon=0.5, dt=0.05) | kw
+    with pytest.raises(ParameterError):
+        solve_system(single(ConstantField2D(0.5)), Interval(-1.0, 1.0), **args)
+
+
+def test_rough_speed_gets_capped_steps():
+    eps = 0.05
+    step = eps / 8
+    grid = Grid1D.from_bounds(-4.0, 4.0, int(round(8.0 / step)) + 1)
+    w = sample_brownian_1d(grid, seed=11)
+    mol = build_mollifier(moments=2)
+    lifted = FromX(embed_path(w, mol, eps))
+    assert np.isfinite(lifted.scale)
+    dt = 0.02
+    n = hypsolve._substeps(lifted, dt)
+    # step no coarser than scale/16
+    assert dt / n <= lifted.scale / 16.0 + 1e-15
 
 
 def test_solution_queries_respect_trust_region():

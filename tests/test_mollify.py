@@ -9,17 +9,11 @@ from roughwave.errors import (
     ResolutionError,
     ScaleError,
 )
-from roughwave.fields import (
-    SampledField2D,
-    SampledProcess,
-    sample_brownian_1d,
-    sample_brownian_2d,
-)
-from roughwave.grids import Grid1D, Grid2D
+from roughwave.fields import SampledProcess, sample_brownian_1d
+from roughwave.grids import Grid1D
 from roughwave import mollify
 from roughwave.mollify import (
     EmbeddedField1D,
-    EmbeddedField2D,
     EpsLadder,
     Mollifier,
     build_mollifier,
@@ -289,19 +283,6 @@ def test_cutoff_independence_at_small_scale():
     assert np.max(np.abs(fw.values(xs) - fn.values(xs))) <= 1e-8
 
 
-def test_table_matches_pointwise_values_odd_kernel():
-    # order-1 kernel is odd: locks the convolution orientation
-    eps = 0.04
-    mol = build_mollifier(moments=2)
-    p = tabulate(lambda x: np.exp(np.sin(2 * x)), -2.0, 2.0, eps / 8)
-    f = embed_derivative(p, mol, eps, order=1)
-    sl = f.safe_slice()
-    nodes = p.grid.nodes()[sl]
-    tab = f.table()[sl]
-    direct = f.values(nodes)
-    assert np.max(np.abs(tab - direct)) <= 1e-10 * (1 + np.max(np.abs(direct)))
-
-
 def test_values_chunks_split_rows_only(monkeypatch):
     eps = 0.05
     mol = build_mollifier(moments=2)
@@ -335,7 +316,7 @@ def test_embedded_brownian_converges_to_path():
     sups = []
     for eps in ladder.levels():
         f = embed_path(w, mol, eps)
-        gap = np.abs(f.table()[window] - w.values[window])
+        gap = np.abs(f.values(grid.nodes()[window]) - w.values[window])
         sups.append(np.max(gap))
     sups = np.array(sups)
     assert np.all(np.diff(sups) < 0.0)
@@ -348,11 +329,11 @@ def test_embedded_brownian_derivative_sup_grows():
     step = ladder.levels()[-1] / 8.0
     grid = Grid1D.from_bounds(-2.0, 3.0, int(round(5.0 / step)) + 1)
     w = sample_brownian_1d(grid, seed=7)
-    window = slice(*np.searchsorted(grid.nodes(), [0.0, 1.0]))
+    inner = grid.nodes()[slice(*np.searchsorted(grid.nodes(), [0.0, 1.0]))]
     sups = []
     for eps in ladder.levels():
         f = embed_derivative(w, mol, eps, order=1)
-        sups.append(np.max(np.abs(f.table()[window])))
+        sups.append(np.max(np.abs(f.values(inner))))
     assert np.all(np.diff(sups) > 0.0)
 
 
@@ -364,14 +345,11 @@ def test_scaled_embed_log_type_derivative():
     step = finest_scale / 8.0
     grid = Grid1D.from_bounds(-4.0, 5.0, int(round(9.0 / step)) + 1)
     w = sample_brownian_1d(grid, seed=5)
-    window = None
+    inner = grid.nodes()[slice(*np.searchsorted(grid.nodes(), [0.0, 1.0]))]
     ratios = []
     for eps in ladder.levels():
         f = scaled_embed(w, mol, eps, ladder, order=1)
-        sl = f.safe_slice()
-        nodes = grid.nodes()[sl]
-        inner = slice(*np.searchsorted(nodes, [0.0, 1.0]))
-        sup = np.max(np.abs(f.table()[sl][inner]))
+        sup = np.max(np.abs(f.values(inner)))
         ratios.append(sup / abs(np.log(eps)))
     assert max(ratios) <= 3.0
 
@@ -391,27 +369,14 @@ def test_resolution_precondition():
         embed_path(p, mol, 0.1)
 
 
-def _sheet(eps, lo=-2.0, hi=2.0, seed=0):
-    axis = Grid1D.from_bounds(lo, hi, int(round((hi - lo) / (eps / 8))) + 1)
-    return sample_brownian_2d(Grid2D(axis, axis), seed=seed)
-
-
 _NEGATIVE_ORDERS = {
-    "rho": lambda p, s: build_mollifier(moments=2).rho(np.array([0.1]), -1),
-    "kernel_values": lambda p, s: build_mollifier(moments=2).kernel_values(
+    "rho": lambda p: build_mollifier(moments=2).rho(np.array([0.1]), -1),
+    "kernel_values": lambda p: build_mollifier(moments=2).kernel_values(
         np.array([0.1]), 0.1, -1
     ),
-    "1d base_order": lambda p, s: EmbeddedField1D(p, build_mollifier(), 0.1, base_order=-1),
-    "1d values": lambda p, s: embed_path(p, build_mollifier(), 0.1).values(
+    "1d base_order": lambda p: EmbeddedField1D(p, build_mollifier(), 0.1, base_order=-1),
+    "1d values": lambda p: embed_path(p, build_mollifier(), 0.1).values(
         np.array([0.0]), order=-1
-    ),
-    "2d base_dx": lambda p, s: EmbeddedField2D(s, build_mollifier(), 0.1, base_dx=-1),
-    "2d base_dt": lambda p, s: EmbeddedField2D(s, build_mollifier(), 0.1, base_dt=-1),
-    "2d values dx": lambda p, s: embed_path(s, build_mollifier(), 0.1).values(
-        np.array([0.0]), np.array([0.0]), dx=-1
-    ),
-    "2d values dt": lambda p, s: embed_path(s, build_mollifier(), 0.1).values(
-        np.array([0.0]), np.array([0.0]), dt=-1
     ),
 }
 
@@ -420,7 +385,7 @@ _NEGATIVE_ORDERS = {
 def test_negative_derivative_order_rejected(case):
     path = tabulate(np.sin, -2.0, 2.0, 0.1 / 8)
     with pytest.raises(ParameterError):
-        _NEGATIVE_ORDERS[case](path, _sheet(0.1))
+        _NEGATIVE_ORDERS[case](path)
 
 
 def test_domain_guard_on_evaluation():
@@ -443,77 +408,3 @@ def test_integral_uses_antiderivative_embedding():
     got = f1.integral(a, b)
     want = f0.values(np.array([b]))[0] - f0.values(np.array([a]))[0]
     assert abs(got - want) <= 1e-12
-
-
-# ------------------------------------------------------------ 2d fields
-
-
-def test_embed_2d_constant_and_mixed_partials():
-    eps = 0.1
-    step = eps / 8
-    nx = int(round(4.0 / step)) + 1
-    g2 = Grid2D(Grid1D(-2.0, step, nx), Grid1D(-2.0, step, nx))
-    xg, tg = np.meshgrid(g2.x.nodes(), g2.t.nodes(), indexing="ij")
-    fld = SampledField2D(g2, np.sin(xg) * np.cos(2 * tg), seed=0, source="analytic")
-    mol = build_mollifier(moments=2)
-    f = embed_path(fld, mol, eps)
-    # mixed partial vs finite differences of the (1,0) derivative
-    rng = np.random.default_rng(3)
-    xs = rng.uniform(-0.3, 0.3, 10)
-    ts = rng.uniform(-0.3, 0.3, 10)
-    h = 1e-4
-    mixed = f.values(xs, ts, dx=1, dt=1)
-    fd = (f.values(xs, ts + h, dx=1) - f.values(xs, ts - h, dx=1)) / (2 * h)
-    assert np.allclose(mixed, fd, atol=1e-5)
-    # and symmetry of the mixed partial under axis order
-    other = f.values(xs, ts, dx=1, dt=1)
-    fd_x = (f.values(xs + h, ts, dt=1) - f.values(xs - h, ts, dt=1)) / (2 * h)
-    assert np.allclose(other, fd_x, atol=1e-5)
-
-    const = SampledField2D(g2, np.full(g2.shape, 2.5), seed=0, source="const")
-    fc = embed_path(const, mol, eps)
-    assert np.allclose(fc.values(np.array([0.0]), np.array([0.1])), 2.5, atol=1e-8)
-
-
-def test_embed_2d_table_matches_pointwise():
-    eps = 0.1
-    step = eps / 8
-    nx = int(round(4.0 / step)) + 1
-    g2 = Grid2D(Grid1D(-2.0, step, nx), Grid1D(-2.0, step, nx))
-    xg, tg = np.meshgrid(g2.x.nodes(), g2.t.nodes(), indexing="ij")
-    fld = SampledField2D(g2, xg**2 + tg, seed=0, source="analytic")
-    mol = build_mollifier(moments=2)
-    f = embed_path(fld, mol, eps)
-    tab = f.table()
-    i = g2.x.nearest_index(0.2)
-    j = g2.t.nearest_index(-0.1)
-    direct = f.values(np.array([g2.x.nodes()[i]]), np.array([g2.t.nodes()[j]]))[0]
-    assert abs(tab[i, j] - direct) <= 1e-9
-
-
-def test_sheet_values_chunk_by_window_entries(monkeypatch):
-    eps = 0.1
-    f = embed_path(_sheet(eps, -1.0, 2.0, seed=12), build_mollifier(moments=2), eps)
-    rng = np.random.default_rng(6)
-    xs = rng.uniform(f.domain.x.lo, f.domain.x.hi, 3000)
-    ts = rng.uniform(f.domain.t.lo, f.domain.t.hi, 3000)
-    kernel_sizes, patch_sizes = [], []
-    inner_kernel, inner_einsum = Mollifier.kernel_values, np.einsum
-
-    def kernel(self, z, scale, order=0):
-        kernel_sizes.append(np.size(z))
-        return inner_kernel(self, z, scale, order)
-
-    def einsum(spec, wx, patch, wt):
-        patch_sizes.append(patch.size)
-        return inner_einsum(spec, wx, patch, wt)
-
-    monkeypatch.setattr(Mollifier, "kernel_values", kernel)
-    monkeypatch.setattr(np, "einsum", einsum)  # the patch gather feeds einsum
-    whole = f.values(xs, ts)
-    assert len(patch_sizes) > 10 and len(kernel_sizes) == 2 * len(patch_sizes)
-    assert max(kernel_sizes) <= mollify._CHUNK_ENTRIES
-    assert max(patch_sizes) <= mollify._CHUNK_ENTRIES
-    pieces = np.concatenate([f.values(xs[lo:lo + 700], ts[lo:lo + 700])
-                             for lo in range(0, xs.size, 700)])
-    assert np.array_equal(whole, pieces)

@@ -1,5 +1,7 @@
-"""Package-level contracts: the README examples run, the export lists hold."""
+"""Package-level contracts: the README examples run, the export lists hold,
+and every public name has a caller outside the tests."""
 
+import ast
 import contextlib
 import importlib
 import io
@@ -12,8 +14,20 @@ import pytest
 
 import roughwave
 
-README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 MODULES = sorted(m.name for m in pkgutil.iter_modules(roughwave.__path__))
+
+# Public names that only tests call, kept on purpose, each with its reason.
+CALLER_EXEMPT = {
+    "asymptotics.counterexample_families": "acceptance criterion 7's planted families",
+    "asymptotics.format_classification":
+        "the report line for classify, which the scenarios' ladder verdicts will use",
+    "hypsolve.gronwall_check": "acceptance criterion 2's a priori bound",
+    "mollify.scaled_embed":
+        "slow-scale embedding; moves with the scale_map echo in bench/reference",
+    "smooth.AnalyticField2D": "closed-form speeds of the acceptance criteria",
+}
 
 
 def test_readme_examples_run():
@@ -36,3 +50,45 @@ def test_export_list_resolves(name):
                if not hasattr(module, n)]
     assert not missing, f"roughwave.{name}.__all__ names {missing}"
     exec(f"from roughwave.{name} import *", {})
+
+
+def _public_definitions(tree):
+    """(name, first line, last line) of each public top-level definition."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        for name in names:
+            if not name.startswith("_"):
+                yield name, node.lineno, node.end_lineno
+
+
+def test_public_names_have_a_caller():
+    # A caller is a mention in src/ outside the definition and outside
+    # __all__, in README.md, or in bench/.
+    texts = {path: path.read_text() for path in (ROOT / "src" / "roughwave").glob("*.py")}
+    outside = [README.read_text()] + [
+        path.read_text() for path in sorted((ROOT / "bench").rglob("*"))
+        if path.suffix in (".py", ".md")
+    ]
+    uncalled = []
+    for path, text in sorted(texts.items()):
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        spans = [(node.lineno, node.end_lineno) for node in tree.body
+                 if isinstance(node, ast.Assign)
+                 and any(getattr(t, "id", None) == "__all__" for t in node.targets)]
+        for name, first, last in _public_definitions(tree):
+            skip = spans + [(first, last)]
+            own = "\n".join(line for no, line in enumerate(lines, 1)
+                            if not any(a <= no <= b for a, b in skip))
+            corpus = [own] + [t for p, t in texts.items() if p != path] + outside
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            key = f"{path.stem}.{name}"
+            if key not in CALLER_EXEMPT and not any(word.search(t) for t in corpus):
+                uncalled.append(key)
+    assert not uncalled, f"public names with no caller outside tests/: {uncalled}"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roughwave.errors import ParameterError
-from roughwave.smooth import AnalyticField1D, simpson_weights
+from roughwave.smooth import AnalyticField1D, FromX, simpson_weights
 
 
 def test_integral_simpson_fallback_without_antiderivative():
@@ -15,3 +15,14 @@ def test_simpson_weights_pattern_and_guard():
         simpson_weights(4)
     with pytest.raises(ParameterError):
         simpson_weights(1)
+
+
+@pytest.mark.parametrize("order", [-1, -2, 2])
+def test_analytic_field_refuses_orders_it_does_not_provide(order):
+    # a negative order once indexed the callables from the end: -1 gave cos
+    f = AnalyticField1D([np.sin, np.cos])
+    x = np.array([0.3])
+    with pytest.raises(ParameterError):
+        f.values(x, order)
+    with pytest.raises(ParameterError):
+        FromX(f).values(x, np.zeros_like(x), dx=order)
