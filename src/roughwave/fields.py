@@ -83,19 +83,26 @@ def white_noise_field(grid: Grid2D, seed: int) -> WhiteNoiseField:
     return WhiteNoiseField(grid, inc, seed)
 
 
-def white_noise_action(noise: WhiteNoiseField, phi: np.ndarray) -> float:
+def white_noise_action(noise: WhiteNoiseField, phi: np.ndarray) -> float | np.ndarray:
     """Pairing <noise, phi> = sum over cells of phi(cell center) * increment.
 
-    phi is tabulated at the cell centers, shape (nx-1, nt-1).  In law the
-    pairing is Gaussian with variance ~ integral of phi^2; pairings with
-    disjointly supported test functions are independent.
+    phi is tabulated at the cell centers, shape (nx-1, nt-1), and pairs to
+    a float.  A stack of tabulations, shape (..., nx-1, nt-1), pairs to an
+    array of shape (...), one value per tabulation, all from one product
+    over the cells.  In law the pairing is Gaussian with variance ~
+    integral of phi^2; pairings with disjointly supported test functions
+    are independent.
     """
     tab = np.asarray(phi, dtype=float)
-    if tab.shape != noise.increments.shape:
+    cells = noise.increments.shape
+    if tab.shape[-2:] != cells:
         raise ShapeMismatchError(
-            f"phi tabulation {tab.shape} does not match cells {noise.increments.shape}"
+            f"phi tabulation {tab.shape} does not end in the cell shape {cells}"
         )
-    return float(np.sum(tab * noise.increments))
+    # einsum's own loop, never BLAS, so no result depends on a thread count
+    out = np.einsum("kc,c->k", tab.reshape(-1, noise.increments.size),
+                    noise.increments.reshape(-1))
+    return float(out[0]) if tab.ndim == 2 else out.reshape(tab.shape[:-2])
 
 
 def translation_transform(

@@ -328,6 +328,8 @@ class EmbeddedField1D(Field1D):
         self._width = 2 * self._hw + 1
 
     def values(self, x, order: int = 0) -> np.ndarray:
+        if order < 0:
+            raise ParameterError(f"derivative order must be >= 0, got {order}")
         x = np.asarray(x, dtype=float)
         self.check_domain(x)
         g = self.process.grid

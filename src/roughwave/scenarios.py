@@ -791,20 +791,22 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
     ss = grid.t.cell_centers()
     cell = grid.cell_measure
 
-    tabs = [cone_average_tab(mol, p, spec.eps, ys, ss, spec.quad_nodes)
-            for p in points]
+    # one slot per point, then the finest Cauchy pair's difference: a sample
+    # pairs with all of them in one product.  Tabs go straight into their
+    # slots; stacking a list of them held a second copy at peak RSS.
+    tabs = np.empty((len(points) + 1, ys.size, ss.size))
+    for k, p in enumerate(points):
+        tabs[k] = cone_average_tab(mol, p, spec.eps, ys, ss, spec.quad_nodes)
     spot_point = tuple(map(float, spec.cauchy_point))
-    spot_tab = (cone_average_tab(mol, spot_point, spot_lo, ys, ss,
+    tabs[-1] = cone_average_tab(mol, spot_point, spot_lo, ys, ss,
+                                spec.quad_nodes)
+    tabs[-1] -= cone_average_tab(mol, spot_point, spot_hi, ys, ss,
                                  spec.quad_nodes)
-                - cone_average_tab(mol, spot_point, spot_hi, ys, ss,
-                                   spec.quad_nodes))
 
     def one_sample(i: int):
         noise = white_noise_field(grid, subseed(spec.master_seed,
                                                 "forcing-noise", i))
-        row = [0.5 * white_noise_action(noise, tab) for tab in tabs]
-        row.append(0.5 * white_noise_action(noise, spot_tab))
-        return row
+        return 0.5 * white_noise_action(noise, tabs)
 
     samples = np.array(_pool_map(one_sample, range(n), jobs))
     vals = samples[:, :-1]
@@ -853,7 +855,7 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
                               "successive-difference second moments shrink"))
 
     # Monte Carlo spot check of the finest Cauchy pair on the sample slab
-    spot_ref = 0.25 * float((spot_tab * spot_tab).sum()) * cell
+    spot_ref = 0.25 * float((tabs[-1] * tabs[-1]).sum()) * cell
     spot_est, spot_se, z_spot = _mc_z(spot ** 2, spot_ref)
     checks.append(_bounded("cauchy-spot-monte-carlo", z_spot, spec.z_bound,
                            f"pair ({spot_hi:g}, {spot_lo:g}) at the tracked point"))

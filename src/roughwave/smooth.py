@@ -262,6 +262,8 @@ class FromX(Field2D):
         self.scale = f.scale
 
     def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
+        if dx < 0 or dt < 0:
+            raise ParameterError(f"derivative orders must be >= 0, got ({dx}, {dt})")
         x = np.asarray(x, dtype=float)
         shape = np.broadcast_shapes(x.shape, np.asarray(t).shape)
         if dt > 0:

@@ -102,6 +102,20 @@ def test_white_noise_action_shape_error(noise_grid):
     w = white_noise_field(noise_grid, seed=1)
     with pytest.raises(ShapeMismatchError):
         white_noise_action(w, np.zeros((3, 3)))
+    nx, nt = w.increments.shape
+    with pytest.raises(ShapeMismatchError):
+        white_noise_action(w, np.zeros((3, nx, nt - 1)))
+
+
+def test_white_noise_action_pairs_a_stack_per_tab(noise_grid):
+    w = white_noise_field(noise_grid, seed=3)
+    rng = np.random.default_rng(4)
+    stack = rng.standard_normal((3,) + w.increments.shape)
+    got = white_noise_action(w, stack)
+    singles = [white_noise_action(w, tab) for tab in stack]
+    assert got.shape == (3,)
+    assert all(type(v) is float for v in singles)
+    np.testing.assert_allclose(got, singles, rtol=1e-12)
 
 
 def test_white_noise_action_accepts_cell_tabulation(noise_grid):

@@ -378,6 +378,11 @@ _NEGATIVE_ORDERS = {
     "1d values": lambda p: embed_path(p, build_mollifier(), 0.1).values(
         np.array([0.0]), order=-1
     ),
+    # base_order + order is still >= 0 here; this once returned the
+    # order-0 smoothing instead of raising
+    "1d derivative values": lambda p: embed_derivative(p, build_mollifier(), 0.1).values(
+        np.array([0.3]), order=-1
+    ),
 }
 
 

@@ -389,20 +389,26 @@ def test_additive_spec_rejects_meaningless_pairs(overrides, message):
         AdditiveNoiseSpec(master_seed=1, **overrides)
 
 
+SMALL_ADDITIVE = AdditiveNoiseSpec(master_seed=MASTER_SEED, n_samples=20,
+                                   eps=0.04,
+                                   cauchy_ladder=EpsLadder(0.16, 0.5, 3))
+
+
 def test_nan_z_score_fails_its_check(monkeypatch):
     # one sample's first point value is NaN, so that point's z-score is
     # NaN; the fold over points must keep it rather than read it as 0
     real_action = scenarios.white_noise_action
     calls = []
 
-    def action(noise, tab):
+    def action(noise, tabs):
+        out = real_action(noise, tabs)
+        if not calls:
+            out[0] = float("nan")
         calls.append(None)
-        return float("nan") if len(calls) == 1 else real_action(noise, tab)
+        return out
 
     monkeypatch.setattr(scenarios, "white_noise_action", action)
-    spec = AdditiveNoiseSpec(master_seed=MASTER_SEED, n_samples=20, eps=0.04,
-                             cauchy_ladder=EpsLadder(0.16, 0.5, 3))
-    rep = run_additive_noise_wave(spec)
+    rep = run_additive_noise_wave(SMALL_ADDITIVE)
     check = next(c for c in rep.checks if c.name == "variance-at-points")
     assert math.isnan(check.observed)
     assert not check.passed
@@ -631,6 +637,20 @@ def test_report_rerun_is_bit_identical(small_ogawa_reports):
             assert la == lb
         else:
             assert ba == bb, name
+
+
+def test_additive_reports_identical_across_jobs_and_reruns(tmp_path):
+    # one stacked pairing per sample, each on its own noise stream: neither
+    # the thread count nor a rerun may move a byte of the CSVs
+    csvs = []
+    for tag, jobs in (("a", 1), ("b", 2), ("c", 1)):
+        d = tmp_path / tag
+        write_report(run_additive_noise_wave(SMALL_ADDITIVE, jobs=jobs), str(d))
+        csvs.append({name: (d / name).read_bytes()
+                     for name in sorted(os.listdir(d)) if name.endswith(".csv")})
+    assert "moments.csv" in csvs[0] and "cauchy_spot.csv" in csvs[0]
+    assert csvs[1] == csvs[0]
+    assert csvs[2] == csvs[0]
 
 
 def test_report_directory_contents(small_ogawa_reports):

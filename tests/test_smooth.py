@@ -26,3 +26,13 @@ def test_analytic_field_refuses_orders_it_does_not_provide(order):
         f.values(x, order)
     with pytest.raises(ParameterError):
         FromX(f).values(x, np.zeros_like(x), dx=order)
+
+
+@pytest.mark.parametrize("orders", [{"dt": -1}, {"dx": -1, "dt": 1}])
+def test_lifted_field_refuses_negative_orders(orders):
+    # dt=-1 once fell through to the order-0 values, sin(0.3), and dt > 0
+    # to zeros whatever dx was
+    f = FromX(AnalyticField1D([np.sin, np.cos]))
+    x = np.array([0.3])
+    with pytest.raises(ParameterError, match="must be >= 0"):
+        f.values(x, x, **orders)
