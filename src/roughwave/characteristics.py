@@ -18,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .errors import (
     DomainEscapeError,
@@ -26,7 +25,7 @@ from .errors import (
     IterationLimitError,
     ParameterError,
 )
-from .smooth import Field1D, Field2D, Interval
+from .smooth import Field1D, Field2D, Interval, running_trapezoid
 
 def _clip_to_domain(speed: Field2D, x: np.ndarray, t: float):
     dom = speed.domain
@@ -82,7 +81,6 @@ def flow_levels(
 
 @dataclass
 class PicardResult:
-    ts: np.ndarray
     xs: np.ndarray
     gaps: np.ndarray  # sup-norm update sizes per iteration
 
@@ -108,13 +106,14 @@ def picard_characteristic_oracle(
     if n_nodes < 2:
         raise ParameterError("need at least two time nodes")
     ts = np.linspace(t0, t1, n_nodes)
+    dts = np.diff(ts)
     dom = speed.domain
     xs = np.full(n_nodes, float(x0))
     gaps = []
     for _ in range(max_iter):
         xc = np.clip(xs, dom.x.lo, dom.x.hi)
         rhs = speed.values(xc, ts)
-        new = x0 + cumulative_trapezoid(rhs, ts, initial=0.0)
+        new = x0 + running_trapezoid(rhs, dts)
         gap = float(np.max(np.abs(new - xs)))
         gaps.append(gap)
         xs = new
@@ -128,7 +127,7 @@ def picard_characteristic_oracle(
     if np.any(xs < dom.x.lo) or np.any(xs > dom.x.hi):
         bad = np.argmax((xs < dom.x.lo) | (xs > dom.x.hi))
         raise DomainEscapeError(f"picard path left the domain near t={ts[bad]:.6g}")
-    return PicardResult(ts=ts, xs=xs, gaps=np.array(gaps))
+    return PicardResult(xs=xs, gaps=np.array(gaps))
 
 
 @dataclass(frozen=True)
@@ -219,8 +218,7 @@ class ArclengthChart:
         slopes = curve.values(xs, order=1)
         weight = np.sqrt(1.0 + slopes**2)
         self.xs = xs
-        self.lengths = cumulative_trapezoid(weight, xs, initial=0.0)
-        self.curve = curve
+        self.lengths = running_trapezoid(weight, np.diff(xs))
 
     def length(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)

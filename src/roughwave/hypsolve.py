@@ -42,7 +42,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .characteristics import determinacy_domain, flow_levels
 from .errors import (
@@ -63,6 +62,7 @@ from .smooth import (
     ShiftedField1D,
     TransformedField2D,
     is_zero_field,
+    running_trapezoid,
     simpson_weights,
 )
 
@@ -420,7 +420,6 @@ class WaveSystem:
     """
 
     problem: HyperbolicProblem
-    speed: Field2D
     displacement_index: int = 2
 
     def solve(self, base, horizon, dt, **kw) -> SolutionField:
@@ -473,8 +472,6 @@ def wave_to_system(
     for f in (drift, damping):
         if f is not None:
             coef_dom = coef_dom.intersect(f.domain)
-    scales = [f.scale for f in (lam, drift, damping) if f is not None and f.scale]
-    coef_scale = min(scales) if scales else None
 
     # The two couplings of a row query the same points in turn, and the
     # row's datum then reads lam on their level-0 column (the solver
@@ -506,9 +503,7 @@ def wave_to_system(
             a, lt, lx, lv, hd = inputs(x, t)
             return side * ((a + sign * lt - lv * lx) / (2.0 * lv)) + hd
 
-        return CallableField2D(
-            fn, domain=coef_dom, t_independent=coef_static, scale=coef_scale
-        )
+        return CallableField2D(fn, domain=coef_dom, t_independent=coef_static)
 
     if plain:
         f_vv = f_vw = f_wv = f_ww = None
@@ -525,10 +520,6 @@ def wave_to_system(
     pot = potential if not is_zero_field(potential) else None
 
     data_dom = u1.domain.intersect(u0_slope.domain).intersect(lam.domain.x)
-    data_scales = [f.scale for f in (u1, u0_slope) if f.scale] + (
-        [lam.scale] if lam.scale else []
-    )
-    data_scale = min(data_scales) if data_scales else None
 
     def lam_at_rest(x):
         # lam(x, 0); column 0 of a feet block holds level-0 feet at t = 0
@@ -543,7 +534,7 @@ def wave_to_system(
         def fn(x):
             return u1.values(x) + sign * lam_at_rest(x) * u0_slope.values(x)
 
-        return CallableField1D(fn, domain=data_dom, scale=data_scale)
+        return CallableField1D(fn, domain=data_dom)
 
     prob = HyperbolicProblem(
         speeds=[lam, neg_speed, zero_speed],
@@ -555,7 +546,7 @@ def wave_to_system(
         forcing=[forcing, forcing, None],
         data=[char_datum(-1.0), char_datum(+1.0), u0],
     )
-    return WaveSystem(problem=prob, speed=lam)
+    return WaveSystem(problem=prob)
 
 
 # ------------------------------------------------------- special solvers
@@ -609,8 +600,8 @@ def gronwall_check(
                 gsum = max(gsum, float(np.max(np.abs(g.values(xs, np.full_like(xs, t))))))
         f_norm[idx] = fsum
         g_norm[idx] = gsum
-    int_f = cumulative_trapezoid(f_norm, tn, initial=0.0)
-    int_g = cumulative_trapezoid(g_norm, tn, initial=0.0)
+    int_f = running_trapezoid(f_norm, np.diff(tn))
+    int_g = running_trapezoid(g_norm, np.diff(tn))
     rhs = (lhs[0] + int_g) * np.exp(int_f)
     ok = bool(np.all(lhs <= rhs * (1.0 + 1e-9) + 1e-12))
     return lhs, rhs, ok

@@ -86,22 +86,18 @@ def _double_factorial_even_moments(n: int) -> np.ndarray:
 class Mollifier:
     """Even smoothing kernel rho = P(z) * gaussian with vanishing moments.
 
-    moments        highest vanishing moment order M (orders 1..M vanish)
     poly_coeffs    coefficients of P in powers of z
     cutoff_inner   a: chi == 1 on |z| <= a
     cutoff_outer   b: chi == 0 on |z| >= b
     truncation     tabulation threshold; |rho| < truncation is treated as 0
     trunc_radius   R with |rho(z)| < truncation for |z| > R
-    formula        human-readable construction tag
     """
 
-    moments: int
     poly_coeffs: tuple
     cutoff_inner: float
     cutoff_outer: float
     truncation: float
     trunc_radius: float
-    formula: str
 
     # -- raw kernel ---------------------------------------------------
 
@@ -240,13 +236,11 @@ def build_mollifier(
     trunc_radius = float(zs[above[-1]]) + 2e-3 if above.size else 1.0
 
     return Mollifier(
-        moments=moments,
         poly_coeffs=tuple(coeffs),
         cutoff_inner=cutoff_inner,
         cutoff_outer=cutoff_outer,
         truncation=truncation,
         trunc_radius=trunc_radius,
-        formula=f"hermite-gauss(M={moments})",
     )
 
 
@@ -301,7 +295,6 @@ class EmbeddedField1D(Field1D):
         mol: Mollifier,
         kernel_scale: float,
         base_order: int = 0,
-        eps: float | None = None,
     ):
         grid = process.grid
         if not (0.0 < kernel_scale <= 1.0):
@@ -322,7 +315,6 @@ class EmbeddedField1D(Field1D):
         self.mol = mol
         self.scale = float(kernel_scale)
         self.base_order = base_order
-        self.eps = self.scale if eps is None else float(eps)
         self.domain = Interval(grid.lower + r, grid.upper - r)
         self._hw = int(np.ceil(r / grid.step)) + 1
         self._width = 2 * self._hw + 1
@@ -351,9 +343,7 @@ class EmbeddedField1D(Field1D):
 
     def shift_order(self, delta: int) -> "EmbeddedField1D":
         """Same smoothing, different base derivative order."""
-        return EmbeddedField1D(
-            self.process, self.mol, self.scale, self.base_order + delta, self.eps
-        )
+        return EmbeddedField1D(self.process, self.mol, self.scale, self.base_order + delta)
 
     def integral(self, a: float, b: float) -> float:
         if self.base_order >= 1:
@@ -365,14 +355,14 @@ class EmbeddedField1D(Field1D):
 
 def embed_path(process: SampledProcess, mol: Mollifier, eps: float):
     """Smooth a tabulated path at scale eps."""
-    return EmbeddedField1D(process, mol, eps, base_order=0, eps=eps)
+    return EmbeddedField1D(process, mol, eps, base_order=0)
 
 
 def embed_derivative(process: SampledProcess, mol: Mollifier, eps: float, order: int = 1):
     """Smooth and differentiate in one convolution with the kernel derivative."""
     if order < 1:
         raise ParameterError("embed_derivative needs order >= 1; use embed_path")
-    return EmbeddedField1D(process, mol, eps, base_order=order, eps=eps)
+    return EmbeddedField1D(process, mol, eps, base_order=order)
 
 
 def scaled_embed(
@@ -384,4 +374,4 @@ def scaled_embed(
 ):
     """Smooth at the ladder's kernel scale for level eps (slow-scale variants)."""
     s = ladder.kernel_scale(eps)
-    return EmbeddedField1D(process, mol, s, base_order=order, eps=eps)
+    return EmbeddedField1D(process, mol, s, base_order=order)

@@ -38,7 +38,7 @@ from .hypsolve import (HyperbolicProblem, geometric_wave_solve,
 from .mollify import EmbeddedField1D, EpsLadder, Mollifier, build_mollifier
 from .seeding import rng_for, subseed
 from .smooth import (AnalyticField1D, ConstantField2D, FromX, Interval,
-                     constant_field_1d, simpson_weights)
+                     constant_field_1d, running_trapezoid, simpson_weights)
 
 __all__ = [
     "CheckResult", "Table", "ScenarioReport", "format_value", "write_report",
@@ -47,9 +47,8 @@ __all__ = [
     "RandomSpeedSpec",
     "run_calibration", "run_ogawa", "run_additive_noise_wave",
     "run_geometric_wave", "run_random_speed_wave",
-    "clip_convex", "polygon_area", "cone_polygon", "cone_overlap_area",
-    "kernel_cumulative", "pair_quadrature", "pinned_pair_covariance",
-    "cone_average_tab",
+    "cone_overlap_area", "kernel_cumulative", "pair_quadrature",
+    "pinned_pair_covariance", "cone_average_tab",
     "SCENARIOS",
 ]
 
@@ -298,55 +297,19 @@ def _pool_map(fn: Callable, args: Sequence, jobs: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# exact cone geometry (piecewise-linear clipping, no sampling)
-
-
-def clip_convex(subject: list, clip: list) -> list:
-    """Clip a polygon against a convex CCW polygon (Sutherland-Hodgman)."""
-    output = list(subject)
-    n = len(clip)
-    for i in range(n):
-        ax, ay = clip[i]
-        bx, by = clip[(i + 1) % n]
-        ex, ey = bx - ax, by - ay
-        source = output
-        output = []
-        if not source:
-            break
-        prev = source[-1]
-        prev_s = ex * (prev[1] - ay) - ey * (prev[0] - ax)
-        for cur in source:
-            cur_s = ex * (cur[1] - ay) - ey * (cur[0] - ax)
-            if cur_s >= 0.0:
-                if prev_s < 0.0:
-                    t = prev_s / (prev_s - cur_s)
-                    output.append((prev[0] + t * (cur[0] - prev[0]),
-                                   prev[1] + t * (cur[1] - prev[1])))
-                output.append(cur)
-            elif prev_s >= 0.0:
-                t = prev_s / (prev_s - cur_s)
-                output.append((prev[0] + t * (cur[0] - prev[0]),
-                               prev[1] + t * (cur[1] - prev[1])))
-            prev, prev_s = cur, cur_s
-    return output
-
-
-def polygon_area(poly: list) -> float:
-    if len(poly) < 3:
-        return 0.0
-    xs = np.array([p[0] for p in poly])
-    ys = np.array([p[1] for p in poly])
-    return 0.5 * abs(float(xs @ np.roll(ys, -1) - ys @ np.roll(xs, -1)))
-
-
-def cone_polygon(x: float, t: float) -> list:
-    # CCW triangle: backward light cone of (x, t) for unit speed
-    return [(x - t, 0.0), (x + t, 0.0), (x, t)]
+# exact cone geometry
 
 
 def cone_overlap_area(p: tuple, q: tuple) -> float:
-    """Exact area of the intersection of two backward unit cones."""
-    return polygon_area(clip_convex(cone_polygon(*p), cone_polygon(*q)))
+    """Exact area of the intersection of two backward unit cones.
+
+    In the characteristic coordinates t + x and t - x the overlap is the
+    backward cone whose apex takes the smaller of each pair; a cone of
+    height h has area h * h.
+    """
+    (x1, t1), (x2, t2) = p, q
+    h = 0.5 * (min(t1 + x1, t2 + x2) + min(t1 - x1, t2 - x2))
+    return h * h if h > 0.0 else 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +327,7 @@ def kernel_cumulative(mol: Mollifier, eps: float,
     n = 2 * int(math.ceil(r / eps * n_per_scale)) + 1
     zs = np.linspace(-r, r, n)
     k = mol.kernel_values(zs, eps, 0)
-    h = zs[1] - zs[0]
-    cum = np.concatenate([[0.0], np.cumsum(0.5 * h * (k[1:] + k[:-1]))])
-    return zs, cum
+    return zs, running_trapezoid(k, zs[1] - zs[0])
 
 
 def pinned_pair_covariance(s: np.ndarray, sp: np.ndarray) -> np.ndarray:
@@ -573,11 +534,41 @@ class OgawaSpec:
         if not self.probes:
             raise ParameterError("probes is empty: the mean checks would "
                                  "test no point")
-        need = build_mollifier().support_radius(self.eps) + 2.0 * self.eps
+        mol = build_mollifier()
+        r = mol.support_radius(self.eps)
+        need = r + 2.0 * self.eps
         if not self.path_pad >= need:
             raise ParameterError(
                 f"path_pad {self.path_pad} too small for eps {self.eps}: "
                 f"needs >= {need:.4f} to keep the kernel window on the path")
+        # the mean reference reads the smoothed data at every probe shifted
+        # by up to _REF_SDS shift standard deviations
+        grid = _data_grid(self)
+        reach = _REF_SDS * math.sqrt(_shift_variance(mol, self.eps, self.eval_time))
+        lo, hi = min(self.probes) - reach, max(self.probes) + reach
+        if not (grid.lower + r <= lo and hi <= grid.upper - r):
+            raise ParameterError(
+                f"data_halfwidth {self.data_halfwidth} too small: the mean "
+                f"reference reads the smoothed data on [{lo:.4f}, {hi:.4f}], "
+                f"outside its safe domain [{grid.lower + r:.4f}, "
+                f"{grid.upper - r:.4f}]")
+
+
+# shift standard deviations spanned by the mean reference's quadrature
+_REF_SDS = 6.5
+
+
+def _shift_variance(mol: Mollifier, eps: float, t: float) -> float:
+    """Variance of the smoothed pinned path's displacement over [0, t]."""
+    return (pair_quadrature(t, t, mol, eps) - 2.0 * pair_quadrature(t, 0.0, mol, eps)
+            + pair_quadrature(0.0, 0.0, mol, eps))
+
+
+def _data_grid(spec: OgawaSpec) -> Grid1D:
+    # the sine datum's tabulation, at the path step eps / 8
+    step = spec.eps / 8.0
+    return Grid1D(-spec.data_halfwidth, step,
+                  int(round(2.0 * spec.data_halfwidth / step)) + 1)
 
 
 def _heat_profile(spec: OgawaSpec, xs: np.ndarray, t: float,
@@ -605,13 +596,10 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
     for t in spec.check_times:
         q = pair_quadrature(t, t, mol, eps)
         sigma_rows.append([t, q, abs(q - t) / t])
-    var_s = (pair_quadrature(spec.eval_time, spec.eval_time, mol, eps)
-             - 2.0 * pair_quadrature(spec.eval_time, 0.0, mol, eps)
-             + pair_quadrature(0.0, 0.0, mol, eps))
+    var_s = _shift_variance(mol, eps, spec.eval_time)
 
     # smoothed data shared by every sample
-    u0_grid = Grid1D(-spec.data_halfwidth, step,
-                     int(round(2.0 * spec.data_halfwidth / step)) + 1)
+    u0_grid = _data_grid(spec)
     u0_proc = SampledProcess(u0_grid,
                              spec.data_offset
                              + spec.data_amplitude * np.sin(u0_grid.nodes()),
@@ -651,7 +639,7 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
 
     # sample mean vs smoothed-data-averaged reference at the probes
     sd = math.sqrt(var_s)
-    ys = np.linspace(-6.5 * sd, 6.5 * sd, 2049)
+    ys = np.linspace(-_REF_SDS * sd, _REF_SDS * sd, 2049)
     wq = simpson_weights(ys.size) * (ys[1] - ys[0]) / 3.0
     dens = np.exp(-0.5 * (ys / sd) ** 2) / (sd * math.sqrt(2.0 * math.pi))
     ref = np.array([float((u0_eps.values(x - ys) * dens) @ wq)

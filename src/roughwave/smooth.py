@@ -9,7 +9,9 @@ the line or in the plane; the embedded fields produced by
 :mod:`roughwave.mollify` plug into the same interface.
 
 `simpson_weights` is the composite Simpson rule that the fixed-lattice
-quadratures here and in `hypsolve` and `scenarios` share.
+quadratures here and in `hypsolve` and `scenarios` share;
+`running_trapezoid` is the running trapezoid integral that
+`characteristics`, `hypsolve` and `scenarios` share.
 """
 
 from __future__ import annotations
@@ -106,6 +108,14 @@ def simpson_weights(n: int) -> np.ndarray:
     return w
 
 
+def running_trapezoid(y: np.ndarray, dx) -> np.ndarray:
+    """Trapezoid integrals of y from its first node to each node, 0 first.
+
+    dx is the node step, or the steps np.diff(x) of a non-uniform lattice.
+    """
+    return np.concatenate([[0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)])
+
+
 class AnalyticField1D(Field1D):
     """Closed-form field: one callable per derivative order.
 
@@ -155,14 +165,13 @@ class CallableField1D(Field1D):
     """Arbitrary fn(x), value queries only.
 
     For closures over other fields, say combining several embedded
-    fields and their derivatives.  Domain and scale are the caller's
+    fields and their derivatives.  The domain is the caller's
     responsibility.
     """
 
-    def __init__(self, fn, domain: Interval = FULL_LINE, scale: float | None = None):
+    def __init__(self, fn, domain: Interval = FULL_LINE):
         self._fn = fn
         self.domain = domain
-        self.scale = scale
 
     def values(self, x, order: int = 0) -> np.ndarray:
         if order != 0:
@@ -275,17 +284,10 @@ class FromX(Field2D):
 class CallableField2D(Field2D):
     """Arbitrary fn(x, t), value queries only; metadata from the caller."""
 
-    def __init__(
-        self,
-        fn,
-        domain: Rect = FULL_PLANE,
-        t_independent: bool = False,
-        scale: float | None = None,
-    ):
+    def __init__(self, fn, domain: Rect = FULL_PLANE, t_independent: bool = False):
         self._fn = fn
         self.domain = domain
         self.t_independent = t_independent
-        self.scale = scale
 
     def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
         if dx or dt:

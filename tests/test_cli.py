@@ -224,10 +224,17 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
     ("random-speed-wave",
      {"ladder": {"eps0": 0.4, "ratio": 0.5, "count": 4, "scale_map": "log"}},
      "ladder scale_map must be 'identity'"),
+    # the mean reference reads the data out to max|probe| + 6.5 shift sds
+    ("ogawa", {"data_halfwidth": 1.0, "n_samples": 4}, "data_halfwidth 1.0 too small"),
+    ("ogawa", {"data_halfwidth": 7.0, "n_samples": 4}, "data_halfwidth 7.0 too small"),
+    ("ogawa", {"eps": 0.1, "path_pad": 1.0, "n_samples": 4},
+     "data_halfwidth 8.0 too small"),
 ], ids=["speed-lo-negative", "empty-domain", "ogawa-eps-negative",
         "ogawa-no-check-times", "ogawa-one-sample", "calibration-dt-zero",
         "calibration-kappa-negative", "geometric-one-level-sine-ladder",
-        "geometric-two-chart-nodes", "random-speed-log-scale-map"])
+        "geometric-two-chart-nodes", "random-speed-log-scale-map",
+        "ogawa-data-halfwidth-1", "ogawa-data-halfwidth-7",
+        "ogawa-coarse-eps-default-halfwidth"])
 def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
                                                        scenario, overrides,
                                                        message):
@@ -240,10 +247,12 @@ def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
     assert not outdir.exists()
 
 
-def test_cli_import_leaves_scipy_signal_unloaded():
-    # scipy.signal is slow to import and nothing in the package needs it
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+def test_cli_import_leaves_scipy_module_unloaded(module):
+    # both are slow to import (scipy.integrate pulls in scipy.optimize and
+    # scipy.sparse) and nothing in the package needs them
     src = os.path.dirname(os.path.dirname(roughwave.__file__))
-    code = "import sys, roughwave.cli; print('scipy.signal' in sys.modules)"
+    code = f"import sys, roughwave.cli; print({module!r} in sys.modules)"
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True).stdout

@@ -13,14 +13,11 @@ from roughwave.scenarios import (
     GeometricSpec,
     OgawaSpec,
     RandomSpeedSpec,
-    clip_convex,
     cone_average_tab,
     cone_overlap_area,
-    cone_polygon,
     kernel_cumulative,
     pair_quadrature,
     pinned_pair_covariance,
-    polygon_area,
     run_additive_noise_wave,
     run_geometric_wave,
     run_ogawa,
@@ -45,6 +42,9 @@ OVERLAP_CASES = [
     ((0.0, 1.0), (2.5, 1.0), 0.0),
     ((0.5, 1.0), (1.2, 0.8), 0.3025),
     ((0.0, 1.0), (2.0, 1.0), 0.0),         # cones touch at one point
+    ((0.0, 1.0), (0.3, 0.2), 0.04),        # nested, off centre
+    ((0.0, 1.0), (1.5, 0.9), 0.04),        # apex outside the other cone
+    ((-0.4, 0.5), (0.3, 1.2), 0.25),       # nested, sharing one edge
 ]
 
 
@@ -64,13 +64,6 @@ def test_cone_overlap_monte_carlo_cross_check():
               & (np.abs(xs - q[0]) <= q[1] - ts) & (ts <= q[1]))
     mc = inside.mean() * 3.0 * 1.2
     assert abs(mc - area) <= 4.0 * math.sqrt(area * 3.6) / math.sqrt(200_000)
-
-
-def test_clip_identity_and_area():
-    tri = cone_polygon(0.0, 1.0)
-    assert polygon_area(clip_convex(tri, tri)) == pytest.approx(1.0, abs=1e-14)
-    assert polygon_area([]) == 0.0
-    assert polygon_area([(0.0, 0.0), (1.0, 0.0)]) == 0.0
 
 
 # ------------------------------------------------- kernel-time quadrature
@@ -443,12 +436,20 @@ def test_random_speed_spec_rejects_meaningless_values(overrides, message):
     ({"path_pad": 0.09}, "path_pad 0.09 too small"),
     ({"eval_time": 0.0}, "eval_time must be positive"),
     ({"mean_z_bound": -3.0}, "mean_z_bound must be positive"),
+    ({"probes": (-1.0, 2.0)}, "data_halfwidth 8.0 too small"),
+    ({"data_halfwidth": 7.55}, "data_halfwidth 7.55 too small"),
 ], ids=["eps-negative", "eps-above-one", "one-sample", "no-check-times",
         "check-time-zero", "no-probes", "pad-too-small", "eval-time-zero",
-        "z-bound-negative"])
+        "z-bound-negative", "probe-beyond-data", "data-just-too-narrow"])
 def test_ogawa_spec_rejects_meaningless_values(overrides, message):
     with pytest.raises(ParameterError, match=message):
         OgawaSpec(master_seed=1, **overrides)
+
+
+def test_ogawa_spec_accepts_data_just_wide_enough():
+    # the default reference reads the data out to 7.48, and the kernel
+    # radius at eps 0.01 adds 0.08
+    OgawaSpec(master_seed=1, data_halfwidth=7.57)
 
 
 @pytest.mark.parametrize("overrides, message", [
