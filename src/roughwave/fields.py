@@ -29,7 +29,8 @@ class SampledProcess:
     source: str
 
     def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
+        # contiguous, so EmbeddedField1D.values can view it as window rows
+        v = np.ascontiguousarray(self.values, dtype=float)
         if v.shape != (self.grid.count,):
             raise ShapeMismatchError(
                 f"values shape {v.shape} does not match grid count {self.grid.count}"

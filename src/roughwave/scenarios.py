@@ -35,7 +35,8 @@ from .grids import Grid1D, Grid2D
 from .hypsolve import (HyperbolicProblem, geometric_wave_solve,
                        halving_error_estimate, solve_system, transport_t_only,
                        wave_to_system)
-from .mollify import EmbeddedField1D, EpsLadder, Mollifier, build_mollifier
+from .mollify import (_CHUNK_ENTRIES, EmbeddedField1D, EpsLadder, Mollifier,
+                      build_mollifier)
 from .seeding import rng_for, subseed
 from .smooth import (AnalyticField1D, ConstantField2D, FromX, Interval,
                      constant_field_1d, running_trapezoid, simpson_weights)
@@ -376,7 +377,9 @@ def cone_average_tab(mol: Mollifier, point: tuple, eps: float,
     or both the mass) and contributes exactly 0; the box keeps one more
     radius of rows so that rounding in the shifted arguments cannot
     matter.  The box is contiguous because ``ys`` and ``ss`` are
-    ascending.
+    ascending.  It is filled in row blocks of at most the mollify chunk
+    budget, so the per-node temporaries stay in cache; every entry takes
+    the same additions in the same order as a single pass would.
     """
     x0, t0 = point
     r = mol.support_radius(eps)
@@ -402,14 +405,20 @@ def cone_average_tab(mol: Mollifier, point: tuple, eps: float,
     n = quad_nodes
     w_quad = simpson_weights(n)
     theta = np.linspace(0.0, 1.0, n)
-    box = out[box_rows, box_cols]
+    terms = []
     for q in range(n):
         sig = a + theta[q] * span                        # (ns,)
         kt = mol.kernel_values(ss - sig, eps, 0) * w_quad[q]
-        half = t0 - sig                                # cone half-width at sig
-        upper = cum_at(dy + half[None, :])
-        lower = cum_at(dy - half[None, :])
-        box += kt[None, :] * (upper - lower)
+        terms.append((kt, t0 - sig))                   # cone half-width at sig
+    box = out[box_rows, box_cols]
+    block = max(1, _CHUNK_ENTRIES // span.size)
+    for lo in range(0, box.shape[0], block):
+        # a row block takes every node's term in quadrature order
+        dy_b, box_b = dy[lo : lo + block], box[lo : lo + block]
+        for kt, half in terms:
+            upper = cum_at(dy_b + half[None, :])
+            lower = cum_at(dy_b - half[None, :])
+            box_b += kt[None, :] * (upper - lower)
     box *= span[None, :] / (3.0 * (n - 1))
     return out
 

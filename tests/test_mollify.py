@@ -306,6 +306,66 @@ def test_values_chunks_split_rows_only(monkeypatch):
     assert np.array_equal(whole, pieces)
 
 
+def _reference_values(f, x, order=0):
+    """The index-array window that EmbeddedField1D.values once built."""
+    g = f.process.grid
+    x = np.asarray(x, dtype=float)
+    xs = np.ravel(x)
+    j0 = np.floor((xs - g.lower) / g.step).astype(np.int64) - f._hw
+    j0 = np.clip(j0, 0, g.count - f._width)
+    idx = j0[:, None] + np.arange(f._width)[None, :]
+    w = f.mol.kernel_values(xs[:, None] - (g.lower + idx * g.step),
+                            f.scale, f.base_order + order)
+    return ((w * f.process.values[idx]).sum(axis=1) * g.step).reshape(x.shape)
+
+
+def _assert_same_bits(got, want):
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+    assert np.array_equal(np.signbit(got), np.signbit(want))
+
+
+# plateau-only windows at every order, and windows that reach the cutoff
+# band at the orders it allows (base_order + order <= 2)
+@pytest.mark.parametrize("eps, base_order, order", [
+    (eps, b, k) for eps in (0.05, 0.2) for b in range(3) for k in range(3)
+    if eps == 0.05 or b + k <= 2
+])
+def test_values_bitwise_equal_index_array_window(eps, base_order, order):
+    mol = build_mollifier(moments=2)
+    grid = Grid1D.from_bounds(-2.0, 3.0, int(round(5.0 / (eps / 8))) + 1)
+    f = EmbeddedField1D(sample_brownian_1d(grid, seed=3), mol, eps, base_order)
+    lo, hi = f.domain.lo, f.domain.hi
+    rows = mollify._CHUNK_ENTRIES // f._width
+    rng = np.random.default_rng(base_order + 3 * order)
+    cases = [
+        rng.uniform(lo, hi, 3 * rows + 17),                     # several chunks
+        # windows clipped at the lower and the upper grid end
+        np.array([lo, np.nextafter(lo, hi), lo + grid.step, hi - grid.step,
+                  np.nextafter(hi, lo), hi]),
+        rng.uniform(0.0, 1.0, (7, 5)),                          # 2-D x
+        np.array([]),
+    ]
+    for x in cases:
+        _assert_same_bits(f.values(x, order), _reference_values(f, x, order))
+    shifted = f.shift_order(1 if base_order < 2 else -1)
+    x = cases[0][:50]
+    _assert_same_bits(shifted.values(x), _reference_values(shifted, x))
+
+
+def test_values_from_strided_path_values():
+    # a path handed over as a strided view smooths like its copy
+    eps = 0.05
+    grid = Grid1D.from_bounds(-1.0, 2.0, int(round(3.0 / (eps / 8))) + 1)
+    raw = np.repeat(sample_brownian_1d(grid, seed=5).values, 2)[::2]
+    assert not raw.flags.c_contiguous
+    mol = build_mollifier(moments=2)
+    f = embed_path(SampledProcess(grid, raw, seed=5, source="strided"), mol, eps)
+    g = embed_path(SampledProcess(grid, raw.copy(), seed=5, source="copy"), mol, eps)
+    xs = np.linspace(0.0, 1.0, 101)
+    assert np.array_equal(f.values(xs, 1), g.values(xs, 1))
+
+
 def test_embedded_brownian_converges_to_path():
     ladder = EpsLadder(0.25, 0.5, 6)
     mol = build_mollifier(moments=2)

@@ -6,7 +6,7 @@ import pytest
 
 import roughwave.scenarios as scenarios
 from roughwave.errors import EmptyDomainError, ParameterError
-from roughwave.mollify import EpsLadder, build_mollifier
+from roughwave.mollify import EpsLadder, Mollifier, build_mollifier
 from roughwave.scenarios import (
     AdditiveNoiseSpec,
     CalibrationSpec,
@@ -206,6 +206,34 @@ def test_cone_average_tab_bitwise_equal_full_slab_on_scenario_slabs():
     assert np.array_equal(
         cone_average_tab(MOL, spec.cauchy_point, 0.16, ys_c, ss_c),
         _reference_cone_tab(MOL, spec.cauchy_point, 0.16, ys_c, ss_c))
+
+
+def test_cone_average_tab_row_blocks_bitwise_equal(monkeypatch):
+    # the additive-noise benchmark's coarsest Cauchy level, eps 0.16, with a
+    # budget that cuts its bounding box into three full row blocks and a
+    # partial one
+    spec = AdditiveNoiseSpec(master_seed=1)
+    (xc, tc), eps, h = spec.cauchy_point, 0.16, 0.01
+    r = MOL.support_radius(eps)
+    ys, ss = _centers(_slab_grid(xc - tc, xc + tc, tc, r + 2.0 * h, h))
+    rows = np.flatnonzero(np.abs(ys - xc) < tc + 2.0 * r)
+    cols = np.flatnonzero(np.minimum(tc, ss + r) > np.maximum(0.0, ss - r))
+    box = (rows[-1] - rows[0] + 1, cols[-1] - cols[0] + 1)
+    assert box == (453, 348)
+    monkeypatch.setattr(scenarios, "_CHUNK_ENTRIES", 120 * box[1])
+    calls = []
+    inner = Mollifier.kernel_values
+
+    def counting(self, z, scale, order=0):
+        calls.append(np.size(z))
+        return inner(self, z, scale, order)
+
+    monkeypatch.setattr(Mollifier, "kernel_values", counting)
+    got = cone_average_tab(MOL, spec.cauchy_point, eps, ys, ss)
+    # one call per quadrature node, plus one for the cumulative table
+    assert len(calls) == 129 + 1
+    assert np.array_equal(got, _reference_cone_tab(MOL, spec.cauchy_point, eps,
+                                                   ys, ss))
 
 
 @pytest.mark.parametrize("point, ys, ss, empty", [
