@@ -140,7 +140,6 @@ class DeterminacyTrapezoid:
 
     base: Interval
     speed_bound: float
-    horizon: float
 
     @property
     def max_time(self) -> float:
@@ -184,7 +183,7 @@ def determinacy_domain(
     xs = np.linspace(base.lo, base.hi, samples)
     t_lo = max(-horizon, speed.domain.t.lo)
     t_hi = min(horizon, speed.domain.t.hi)
-    rows = 1 if getattr(speed, "t_independent", False) else min(samples, 129)
+    rows = 1 if speed.t_independent else min(samples, 129)
     ts = np.linspace(t_lo, t_hi, rows)
     sup = 0.0
     for t in ts:
@@ -192,7 +191,7 @@ def determinacy_domain(
     bound = safety * sup
     if bound == 0.0:
         bound = 1e-30  # zero speed: region never shrinks
-    trap = DeterminacyTrapezoid(base=base, speed_bound=bound, horizon=horizon)
+    trap = DeterminacyTrapezoid(base=base, speed_bound=bound)
     if horizon >= trap.max_time:
         raise EmptyDomainError(
             f"horizon {horizon} reaches past the determinacy collapse time "

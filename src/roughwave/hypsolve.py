@@ -53,8 +53,8 @@ from .errors import (
 )
 from .grids import Grid1D
 from .smooth import (
-    CallableField1D,
-    CallableField2D,
+    AnalyticField1D,
+    AnalyticField2D,
     ConstantField2D,
     Field1D,
     Field2D,
@@ -157,7 +157,7 @@ class SolutionField:
 
 
 def _substeps(speed: Field2D, dt: float) -> int:
-    scale = getattr(speed, "scale", None)
+    scale = speed.scale
     if scale is None or not np.isfinite(scale):
         return 1
     return max(1, int(np.ceil(dt / (scale * ROUGH_STEP_FRACTION))))
@@ -176,7 +176,7 @@ def _feet_blocks(speed: Field2D, xs: np.ndarray, t_nodes: np.ndarray, base: Inte
     """
     K = len(t_nodes) - 1
     nsub = _substeps(speed, t_nodes[1] - t_nodes[0])
-    shared = getattr(speed, "t_independent", False)
+    shared = speed.t_independent
     blk = np.broadcast_to(xs[:, None], (len(xs), 1 if shared else K + 1))
     blocks = [blk]
     for m in range(K):
@@ -200,7 +200,7 @@ def _along_feet(fields: list, datum: Field1D, feet: list, t_nodes: np.ndarray):
     block m + 1.  So fields and a datum built on shared values (the wave
     reduction's couplings and u1 -+ lam u0') evaluate those once per block.
     """
-    varies = [not getattr(fld, "t_independent", False) for fld in fields]
+    varies = [not fld.t_independent for fld in fields]
     out = [[] for _ in fields]
     data = []
     for m, f in enumerate(feet):
@@ -350,7 +350,7 @@ def solve_system(
     triangles = sum(
         3 + sum(not is_zero_field(f) for f in (*problem.coupling[i], problem.forcing[i]))
         for i, s in enumerate(problem.speeds)
-        if not getattr(s, "t_independent", False)
+        if not s.t_independent
     )
     bytes_needed = triangles * (K + 1) ** 2 // 2 * nx * 8
     if bytes_needed > GENERAL_PATH_BYTE_CAP:
@@ -411,21 +411,6 @@ def solve_system(
 INVERTIBILITY_FLOOR = 1e-6
 
 
-@dataclass
-class WaveSystem:
-    """The first-order reduction of a scalar second-order wave problem.
-
-    displacement_index names the system component carrying the scalar
-    wave itself; the first two carry u_t -+ lam u_x.
-    """
-
-    problem: HyperbolicProblem
-    displacement_index: int = 2
-
-    def solve(self, base, horizon, dt, **kw) -> SolutionField:
-        return solve_system(self.problem, base, horizon, dt, **kw)
-
-
 def wave_to_system(
     speed: Field2D,
     u0: Field1D,
@@ -436,14 +421,14 @@ def wave_to_system(
     potential: Field2D | None = None,
     forcing: Field2D | None = None,
     check_interval: Interval | None = None,
-) -> WaveSystem:
+) -> HyperbolicProblem:
     """Reduce u_tt = lam^2 u_xx + drift u_x + damping u_t + potential u + forcing.
 
     State is (v, w, u) with v = u_t - lam u_x and w = u_t + lam u_x;
-    v rides speed +lam, w rides -lam, and u integrates (v + w)/2 up its
-    vertical characteristic.  u0_slope must be the x-derivative of u0
-    (passed separately so embedded data can supply it exactly), and u1
-    is the initial velocity.
+    v rides speed +lam, w rides -lam, and u, component 2, integrates
+    (v + w)/2 up its vertical characteristic.  u0_slope must be the
+    x-derivative of u0 (passed separately so embedded data can supply it
+    exactly), and u1 is the initial velocity.
 
     lam must stay away from zero: the reduction divides by it.
     """
@@ -464,9 +449,8 @@ def wave_to_system(
         and damping is None
     )
 
-    lam_static = getattr(lam, "t_independent", False)
-    coef_static = lam_static and all(
-        f is None or getattr(f, "t_independent", False) for f in (drift, damping)
+    coef_static = lam.t_independent and all(
+        f is None or f.t_independent for f in (drift, damping)
     )
     coef_dom = lam.domain
     for f in (drift, damping):
@@ -503,7 +487,7 @@ def wave_to_system(
             a, lt, lx, lv, hd = inputs(x, t)
             return side * ((a + sign * lt - lv * lx) / (2.0 * lv)) + hd
 
-        return CallableField2D(fn, domain=coef_dom, t_independent=coef_static)
+        return AnalyticField2D({(0, 0): fn}, domain=coef_dom, t_independent=coef_static)
 
     if plain:
         f_vv = f_vw = f_wv = f_ww = None
@@ -534,9 +518,9 @@ def wave_to_system(
         def fn(x):
             return u1.values(x) + sign * lam_at_rest(x) * u0_slope.values(x)
 
-        return CallableField1D(fn, domain=data_dom)
+        return AnalyticField1D([fn], domain=data_dom)
 
-    prob = HyperbolicProblem(
+    return HyperbolicProblem(
         speeds=[lam, neg_speed, zero_speed],
         coupling=[
             [f_vv, f_vw, pot],
@@ -546,7 +530,6 @@ def wave_to_system(
         forcing=[forcing, forcing, None],
         data=[char_datum(-1.0), char_datum(+1.0), u0],
     )
-    return WaveSystem(problem=prob)
 
 
 # ------------------------------------------------------- special solvers

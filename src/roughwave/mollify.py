@@ -373,26 +373,3 @@ class EmbeddedField1D(Field1D):
             return float(vb - va)
         return super().integral(a, b)
 
-
-def embed_path(process: SampledProcess, mol: Mollifier, eps: float):
-    """Smooth a tabulated path at scale eps."""
-    return EmbeddedField1D(process, mol, eps, base_order=0)
-
-
-def embed_derivative(process: SampledProcess, mol: Mollifier, eps: float, order: int = 1):
-    """Smooth and differentiate in one convolution with the kernel derivative."""
-    if order < 1:
-        raise ParameterError("embed_derivative needs order >= 1; use embed_path")
-    return EmbeddedField1D(process, mol, eps, base_order=order)
-
-
-def scaled_embed(
-    process: SampledProcess,
-    mol: Mollifier,
-    eps: float,
-    ladder: EpsLadder,
-    order: int = 0,
-):
-    """Smooth at the ladder's kernel scale for level eps (slow-scale variants)."""
-    s = ladder.kernel_scale(eps)
-    return EmbeddedField1D(process, mol, s, base_order=order)

@@ -489,8 +489,8 @@ def run_calibration(spec: CalibrationSpec, jobs: int = 1) -> ScenarioReport:
              lambda x, t: 0.5 * (np.sin(x - t) + np.sin(x + t))),
             ("wave-velocity-data", (zero, zero, AnalyticField1D([np.cos])),
              lambda x, t: 0.5 * (np.sin(x + t) - np.sin(x - t)))):
-        sol = wave_to_system(ConstantField2D(1.0), *data).solve(
-            base, spec.horizon, spec.dt, x_step=spec.x_step)
+        sol = solve_system(wave_to_system(ConstantField2D(1.0), *data),
+                           base, spec.horizon, spec.dt, x_step=spec.x_step)
         checks.append(_bounded(name, _trusted_gap(sol, exact), spec.wave_tol))
 
     rows = [(check.name, check.observed, check.bound) for check in checks]
@@ -1142,9 +1142,9 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
         return spec.speed_lo + span * u
 
     # constant-speed member of the family against d'Alembert
-    sys_c = wave_to_system(ConstantField2D(1.0), *_bump_data())
-    sol_c = sys_c.solve(base, spec.horizon, spec.dt / 2.0,
-                        x_step=spec.x_step / 2.0)
+    sol_c = solve_system(wave_to_system(ConstantField2D(1.0), *_bump_data()),
+                         base, spec.horizon, spec.dt / 2.0,
+                         x_step=spec.x_step / 2.0)
     err_c = _trusted_gap(sol_c, lambda x, t: 0.5 * (
         np.exp(-(x - t) ** 2) + np.exp(-(x + t) ** 2)))
     checks = [_bounded("constant-speed-dalembert", err_c, spec.dalembert_tol)]
@@ -1165,22 +1165,22 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
                 * deriv(x)
 
         ref_curve = AnalyticField1D([lam, lam_d], domain=Interval(-hw, hw))
-        sys_ref = wave_to_system(FromX(ref_curve), u0, u0_slope, u1)
-        sol_ref = sys_ref.solve(base, spec.horizon, spec.dt,
-                                x_step=spec.x_step)
+        prob_ref = wave_to_system(FromX(ref_curve), u0, u0_slope, u1)
+        sol_ref = solve_system(prob_ref, base, spec.horizon, spec.dt,
+                               x_step=spec.x_step)
         xs = sol_ref.x_grid.nodes()
         sup_speed = float(np.abs(lam(xs)).max())
 
         gaps = []
         for e in levels:
             emb = EmbeddedField1D(lam_proc, mol, float(e))
-            sol = wave_to_system(FromX(emb), u0, u0_slope, u1).solve(
-                base, spec.horizon, spec.dt, x_step=spec.x_step)
+            sol = solve_system(wave_to_system(FromX(emb), u0, u0_slope, u1),
+                               base, spec.horizon, spec.dt, x_step=spec.x_step)
             gaps.append(_trusted_gap(sol, ref=sol_ref))
         # the finest level's solution at the interchange probes
         finals = sol.values(2, np.array([-0.6, -0.3, 0.0, 0.3, 0.6]),
                             spec.horizon)
-        est = halving_error_estimate(sys_ref.problem, sol_ref, base,
+        est = halving_error_estimate(prob_ref, sol_ref, base,
                                      spec.horizon, spec.dt, component=2,
                                      x_step=spec.x_step)
         return gaps, est, sup_speed, finals

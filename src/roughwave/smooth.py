@@ -2,11 +2,11 @@
 
 A Field1D maps x to values; a Field2D maps (x, t).  Both carry a safe
 evaluation domain and answer derivative queries up to the order they
-support.  Analytic fields wrap closed-form callables; callable and
-transformed fields wrap closures and pointwise maps of parent fields
-(value queries only); shifted and lifted fields re-place a Field1D on
-the line or in the plane; the embedded fields produced by
-:mod:`roughwave.mollify` plug into the same interface.
+support.  Analytic fields wrap closed-form callables; transformed
+fields wrap pointwise maps of parent fields (value queries only);
+shifted and lifted fields re-place a Field1D on the line or in the
+plane; the embedded fields produced by :mod:`roughwave.mollify` plug
+into the same interface.
 
 `simpson_weights` is the composite Simpson rule that the fixed-lattice
 quadratures here and in `hypsolve` and `scenarios` share;
@@ -65,16 +65,13 @@ FULL_PLANE = Rect(FULL_LINE, FULL_LINE)
 
 
 class Field1D:
-    """Base: callable field of one variable with derivative queries."""
+    """Base: field of one variable with derivative queries."""
 
     domain: Interval = FULL_LINE
     scale: float | None = None  # smoothing scale, when meaningful
 
     def values(self, x, order: int = 0) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, x):
-        return self.values(x, 0)
 
     def check_domain(self, x):
         if not self.domain.contains(x):
@@ -129,14 +126,12 @@ class AnalyticField1D(Field1D):
         fns: Sequence[Callable[[np.ndarray], np.ndarray]],
         domain: Interval = FULL_LINE,
         antiderivative: Callable[[np.ndarray], np.ndarray] | None = None,
-        scale: float | None = None,
     ):
         if not fns:
             raise ParameterError("need at least the order-0 callable")
         self._fns = list(fns)
         self.domain = domain
         self._antideriv = antiderivative
-        self.scale = scale
 
     def values(self, x, order: int = 0) -> np.ndarray:
         if not 0 <= order < len(self._fns):
@@ -159,26 +154,6 @@ def constant_field_1d(c: float) -> AnalyticField1D:
         [lambda x: np.full_like(x, c), lambda x: np.zeros_like(x)],
         antiderivative=lambda x: c * x,
     )
-
-
-class CallableField1D(Field1D):
-    """Arbitrary fn(x), value queries only.
-
-    For closures over other fields, say combining several embedded
-    fields and their derivatives.  The domain is the caller's
-    responsibility.
-    """
-
-    def __init__(self, fn, domain: Interval = FULL_LINE):
-        self._fn = fn
-        self.domain = domain
-
-    def values(self, x, order: int = 0) -> np.ndarray:
-        if order != 0:
-            raise ParameterError("callable field supports order 0 only")
-        x = np.asarray(x, dtype=float)
-        self.check_domain(x)
-        return np.asarray(self._fn(x), dtype=float)
 
 
 class ShiftedField1D(Field1D):
@@ -207,9 +182,6 @@ class Field2D:
 
     def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
         raise NotImplementedError
-
-    def __call__(self, x, t):
-        return self.values(x, t, 0, 0)
 
     def check_domain(self, x, t):
         if not self.domain.contains(x, t):
@@ -279,22 +251,6 @@ class FromX(Field2D):
             return np.zeros(shape)
         out = self._f.values(x, dx)
         return np.broadcast_to(out, shape).copy()
-
-
-class CallableField2D(Field2D):
-    """Arbitrary fn(x, t), value queries only; metadata from the caller."""
-
-    def __init__(self, fn, domain: Rect = FULL_PLANE, t_independent: bool = False):
-        self._fn = fn
-        self.domain = domain
-        self.t_independent = t_independent
-
-    def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
-        if dx or dt:
-            raise ParameterError("callable field supports value queries only")
-        x = np.asarray(x, dtype=float)
-        t = np.asarray(t, dtype=float)
-        return np.asarray(self._fn(x, t), dtype=float)
 
 
 class TransformedField2D(Field2D):

@@ -16,12 +16,7 @@ from roughwave.asymptotics import (
 from roughwave.fields import SampledProcess
 from roughwave.grids import Grid1D
 from roughwave.hypsolve import HyperbolicProblem, gronwall_check, solve_system
-from roughwave.mollify import (
-    EpsLadder,
-    build_mollifier,
-    embed_derivative,
-    embed_path,
-)
+from roughwave.mollify import EmbeddedField1D, EpsLadder, build_mollifier
 from roughwave.seeding import rng_for
 from roughwave.smooth import (
     AnalyticField1D,
@@ -223,9 +218,9 @@ def test_criterion_8_mollifier_suite():
         return SampledProcess(g, fn(g.nodes()), seed=0, source="analytic")
 
     eps = 0.02
-    d_of_embed = embed_derivative(tab(np.sin, -1.0, 2.0, eps / 8),
-                                  mol, eps, order=1)
-    embed_of_d = embed_path(tab(np.cos, -1.0, 2.0, eps / 8), mol, eps)
+    d_of_embed = EmbeddedField1D(tab(np.sin, -1.0, 2.0, eps / 8),
+                                 mol, eps, base_order=1)
+    embed_of_d = EmbeddedField1D(tab(np.cos, -1.0, 2.0, eps / 8), mol, eps)
     xs = np.linspace(0.0, 1.0, 13)
     commute = float(np.max(np.abs(d_of_embed.values(xs)
                                   - embed_of_d.values(xs))))
@@ -235,10 +230,10 @@ def test_criterion_8_mollifier_suite():
     p3 = tab(lambda x: np.cos(3.0 * x), -3.0, 3.0, 0.05 / 8)
     xs3 = np.linspace(-1.0, 1.0, 21)
     cutoff_gap = float(np.max(np.abs(
-        embed_path(p3, wide, 0.05).values(xs3)
-        - embed_path(p3, narrow, 0.05).values(xs3))))
+        EmbeddedField1D(p3, wide, 0.05).values(xs3)
+        - EmbeddedField1D(p3, narrow, 0.05).values(xs3))))
 
-    quad = embed_path(tab(lambda x: x**2, -2.0, 2.0, 0.05 / 8), mol, 0.05)
+    quad = EmbeddedField1D(tab(lambda x: x**2, -2.0, 2.0, 0.05 / 8), mol, 0.05)
     xs2 = np.linspace(-1.0, 1.0, 11)
     poly_err = float(np.max(np.abs(quad.values(xs2) - xs2**2)))
 

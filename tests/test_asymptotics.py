@@ -14,7 +14,7 @@ from roughwave.asymptotics import (
 from roughwave.errors import DomainError, ParameterError
 from roughwave.fields import sample_brownian_1d
 from roughwave.grids import Grid1D
-from roughwave.mollify import EpsLadder, build_mollifier, embed_derivative, embed_path
+from roughwave.mollify import EmbeddedField1D, EpsLadder, build_mollifier
 from roughwave.smooth import AnalyticField1D, Interval, constant_field_1d
 
 LADDER = EpsLadder(0.5, 0.5, 8)
@@ -41,7 +41,7 @@ def test_measure_brownian_derivative_grows_pathwise():
     w = sample_brownian_1d(g, seed=21)
     mol = build_mollifier(moments=2)
     ser = measure_series(
-        lambda eps, seed: embed_derivative(w, mol, eps, 1),
+        lambda eps, seed: EmbeddedField1D(w, mol, eps, base_order=1),
         Interval(0.0, 1.0), 0, 0.0, EpsLadder(0.25, 0.5, 6),
     )
     assert np.all(np.diff(ser.measurements) > 0.0)
@@ -67,7 +67,7 @@ def test_measure_domain_violation_propagates():
     mol = build_mollifier(moments=2)
     with pytest.raises(DomainError):
         measure_series(
-            lambda eps, seed: embed_path(w, mol, eps),
+            lambda eps, seed: EmbeddedField1D(w, mol, eps),
             Interval(-2.0, 2.0), 0, 0.0, EpsLadder(0.5, 0.5, 5),
         )
 

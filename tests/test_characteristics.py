@@ -15,11 +15,10 @@ from roughwave.errors import (
 )
 from roughwave.fields import sample_brownian_1d
 from roughwave.grids import Grid1D
-from roughwave.mollify import build_mollifier, embed_path
+from roughwave.mollify import EmbeddedField1D, build_mollifier
 from roughwave.smooth import (
     AnalyticField1D,
     AnalyticField2D,
-    CallableField2D,
     ConstantField2D,
     FromX,
     Interval,
@@ -147,9 +146,9 @@ def test_t_independent_speed_bound_matches_all_rows():
     # flagged time-dependent is sampled on 129, and the sup is the same float
     grid = Grid1D.from_bounds(-4.0, 4.0, 1281)
     w = sample_brownian_1d(grid, seed=7)
-    emb = embed_path(w, build_mollifier(moments=2), 0.1)
+    emb = EmbeddedField1D(w, build_mollifier(moments=2), 0.1)
     lifted = FromX(emb)
-    rows = CallableField2D(lambda x, t: emb.values(x), t_independent=False)
+    rows = AnalyticField2D({(0, 0): lambda x, t: emb.values(x)}, t_independent=False)
     base = Interval(-1.5, 1.5)
     one = determinacy_domain(lifted, base, horizon=0.1)
     many = determinacy_domain(rows, base, horizon=0.1)
@@ -210,7 +209,7 @@ def test_arclength_speed_bound_invariant():
     grid = Grid1D.from_bounds(-4.0, 4.0, int(round(8.0 / step)) + 1)
     w = sample_brownian_1d(grid, seed=21)
     mol = build_mollifier(moments=2)
-    curve = embed_path(w, mol, eps)
+    curve = EmbeddedField1D(w, mol, eps)
     chart = ArclengthChart(curve)
     xs = np.linspace(-1.0, 1.0, 101)
     t = 0.4
@@ -229,7 +228,7 @@ def test_arclength_escape_guard():
 
 
 def test_trapezoid_contains_vectorized():
-    trap = DeterminacyTrapezoid(Interval(-1.0, 1.0), speed_bound=1.0, horizon=0.8)
+    trap = DeterminacyTrapezoid(Interval(-1.0, 1.0), speed_bound=1.0)
     xs = np.array([-0.5, 0.0, 0.5, 0.95])
     inside = trap.contains(xs, 0.3)
     assert inside.tolist() == [True, True, True, False]

@@ -24,16 +24,10 @@ from roughwave.hypsolve import (
     transport_t_only,
     wave_to_system,
 )
-from roughwave.mollify import (
-    EmbeddedField1D,
-    build_mollifier,
-    embed_derivative,
-    embed_path,
-)
+from roughwave.mollify import EmbeddedField1D, build_mollifier
 from roughwave.smooth import (
     AnalyticField1D,
     AnalyticField2D,
-    CallableField1D,
     ConstantField2D,
     FromX,
     Interval,
@@ -95,14 +89,14 @@ def test_static_forcing_without_coupling():
 
 def test_wave_with_static_forcing():
     # u_tt = u_xx + 1, u0 = sin, u1 = 0: u = sin x cos t + t^2 / 2
-    sys = wave_to_system(
+    prob = wave_to_system(
         ConstantField2D(1.0),
         SIN,
         AnalyticField1D([np.cos]),
         ZERO_1D,
         forcing=ConstantField2D(1.0),
     )
-    sol = sys.solve(Interval(-np.pi - 1.3, np.pi + 1.3), horizon=1.0, dt=0.01)
+    sol = solve_system(prob, Interval(-np.pi - 1.3, np.pi + 1.3), horizon=1.0, dt=0.01)
     xs = sol.x_grid.nodes()
     worst = 0.0
     for k, t in enumerate(sol.t_nodes):
@@ -118,7 +112,7 @@ def test_wave_damping_and_potential_manufactured():
     g = AnalyticField2D({
         (0, 0): lambda x, t: (0.5 * np.sin(t) + 0.3 * np.cos(t)) * np.sin(x)
     })
-    sys = wave_to_system(
+    prob = wave_to_system(
         ConstantField2D(1.0),
         SIN,
         AnalyticField1D([np.cos]),
@@ -127,8 +121,8 @@ def test_wave_damping_and_potential_manufactured():
         potential=ConstantField2D(-0.3),
         forcing=g,
     )
-    sol = sys.solve(Interval(-np.pi - 1.3, np.pi + 1.3), horizon=0.5, dt=0.005)
-    xs, u = sol.on_level(sys.displacement_index, 0.5)
+    sol = solve_system(prob, Interval(-np.pi - 1.3, np.pi + 1.3), horizon=0.5, dt=0.005)
+    xs, u = sol.on_level(2, 0.5)
     assert np.max(np.abs(u - np.cos(0.5) * np.sin(xs))) <= 1e-4
 
 
@@ -228,7 +222,7 @@ def test_rough_speed_gets_capped_steps():
     grid = Grid1D.from_bounds(-4.0, 4.0, int(round(8.0 / step)) + 1)
     w = sample_brownian_1d(grid, seed=11)
     mol = build_mollifier(moments=2)
-    lifted = FromX(embed_path(w, mol, eps))
+    lifted = FromX(EmbeddedField1D(w, mol, eps))
     assert np.isfinite(lifted.scale)
     dt = 0.02
     n = hypsolve._substeps(lifted, dt)
@@ -248,14 +242,14 @@ def test_solution_queries_respect_trust_region():
 
 def test_dalembert_wave():
     # u_tt = u_xx, u0 = sin, u1 = 0: u = sin x cos t
-    sys = wave_to_system(
+    prob = wave_to_system(
         speed=ConstantField2D(1.0),
         u0=SIN,
         u0_slope=AnalyticField1D([np.cos]),
         u1=ZERO_1D,
     )
-    sol = sys.solve(Interval(-np.pi - 1.3, np.pi + 1.3), horizon=1.0, dt=0.01)
-    xs, u = sol.on_level(sys.displacement_index, 1.0)
+    sol = solve_system(prob, Interval(-np.pi - 1.3, np.pi + 1.3), horizon=1.0, dt=0.01)
+    xs, u = sol.on_level(2, 1.0)
     assert np.max(np.abs(u - np.sin(xs) * np.cos(1.0))) <= 1e-4
     # the two characteristic components transport exactly
     xs_v, v = sol.on_level(0, 1.0)
@@ -263,15 +257,15 @@ def test_dalembert_wave():
 
 
 def test_gronwall_bound_holds():
-    sys = wave_to_system(
+    prob = wave_to_system(
         speed=ConstantField2D(1.0),
         u0=SIN,
         u0_slope=AnalyticField1D([np.cos]),
         u1=ZERO_1D,
     )
     base = Interval(-np.pi - 1.3, np.pi + 1.3)
-    sol = sys.solve(base, horizon=1.0, dt=0.01)
-    lhs, rhs, ok = gronwall_check(sol, sys.problem)
+    sol = solve_system(prob, base, horizon=1.0, dt=0.01)
+    lhs, rhs, ok = gronwall_check(sol, prob)
     assert ok
     assert np.all(np.isfinite(rhs))
     assert rhs[-1] >= lhs[-1]
@@ -313,8 +307,8 @@ def test_transport_t_only_embedded_shift_is_exact():
     grid = Grid1D.from_bounds(-2.0, 2.0, int(round(4.0 / (eps / 8))) + 1)
     w = sample_brownian_1d(grid, seed=31)
     mol = build_mollifier(moments=2)
-    speed = embed_derivative(w, mol, eps, order=1)
-    sibling = embed_path(w, mol, eps)
+    speed = EmbeddedField1D(w, mol, eps, base_order=1)
+    sibling = EmbeddedField1D(w, mol, eps)
     moved, shift = transport_t_only(SIN, speed, t=0.6)
     want = sibling.values(np.array([0.6]))[0] - sibling.values(np.array([0.0]))[0]
     assert abs(shift - want) <= 1e-12
@@ -348,16 +342,16 @@ def test_geometric_wave_dual_route():
     u0 = AnalyticField1D(
         [lambda x: np.exp(-4.0 * x**2), lambda x: -8.0 * x * np.exp(-4.0 * x**2)]
     )
-    sys = wave_to_system(
+    prob = wave_to_system(
         speed=speed,
         u0=u0,
         u0_slope=AnalyticField1D([lambda x: -8.0 * x * np.exp(-4.0 * x**2)]),
         u1=ZERO_1D,
         drift=drift,
     )
-    sol = sys.solve(Interval(-3.0, 3.0), horizon=0.4, dt=0.005)
+    sol = solve_system(prob, Interval(-3.0, 3.0), horizon=0.4, dt=0.005)
     xs = np.linspace(-1.5, 1.5, 41)
-    route1 = sol.values(sys.displacement_index, xs, np.full_like(xs, 0.4))
+    route1 = sol.values(2, xs, np.full_like(xs, 0.4))
 
     curve = AnalyticField1D(
         [lambda x: 0.3 * np.sin(x), lambda x: 0.3 * np.cos(x)],
@@ -378,8 +372,8 @@ def test_time_dependent_path_matches_shared_feet():
     sols = []
     for flag in (True, False):
         speed, drift = graph_speed_fields(t_independent=flag)
-        sys = wave_to_system(speed, u0, slope, ZERO_1D, drift=drift, forcing=forcing)
-        sols.append(sys.solve(Interval(-3.0, 3.0), horizon=0.4, dt=0.01))
+        prob = wave_to_system(speed, u0, slope, ZERO_1D, drift=drift, forcing=forcing)
+        sols.append(solve_system(prob, Interval(-3.0, 3.0), horizon=0.4, dt=0.01))
     shared, per_anchor = sols
     for i in range(3):
         assert np.max(np.abs(shared.tables[i] - per_anchor.tables[i])) <= 1e-12
@@ -431,7 +425,7 @@ def bump_wave(speed):
 
 def test_halving_estimate_reuses_the_coarse_solve():
     # the caller's coarse solve gives the float that two fresh solves give
-    prob = bump_wave(FromX(smoothed_speed())).problem
+    prob = bump_wave(FromX(smoothed_speed()))
     base = Interval(-1.0, 1.0)
     coarse = solve_system(prob, base, 0.2, 0.02, x_step=0.04)
     est = halving_error_estimate(prob, coarse, base, 0.2, 0.02, component=2, x_step=0.04)
@@ -487,8 +481,9 @@ def test_wave_couplings_evaluate_the_speed_once_per_block(monkeypatch):
 
     monkeypatch.setattr(EmbeddedField1D, "values", counted)
     monkeypatch.setattr(hypsolve, "_along_feet", marked)
-    sol = bump_wave(FromX(smoothed_speed())).solve(
-        Interval(-1.0, 1.0), horizon=0.2, dt=0.02, x_step=0.05
+    sol = solve_system(
+        bump_wave(FromX(smoothed_speed())), Interval(-1.0, 1.0), horizon=0.2, dt=0.02,
+        x_step=0.05
     )
     per_block = Counter(calls)
     n_blocks = len(sol.t_nodes)
@@ -506,13 +501,13 @@ def test_wave_datum_reads_a_time_dependent_speed_at_rest():
         (1, 0): lambda x, t: 0.2 * np.cos(x) + 0.0 * t,
         (0, 1): lambda x, t: 0.3 + 0.0 * x,
     })
-    prob = bump_wave(lam).problem
+    prob = bump_wave(lam)
 
     def fresh(sign):
         def fn(x):
             return ZERO_1D.values(x) + sign * lam.values(x, np.zeros_like(x)) * BUMP_SLOPE.values(x)
 
-        return CallableField1D(fn, domain=prob.data[0].domain)
+        return AnalyticField1D([fn], domain=prob.data[0].domain)
 
     plain = HyperbolicProblem(
         prob.speeds, prob.coupling, prob.forcing, [fresh(-1.0), fresh(+1.0), BUMP]

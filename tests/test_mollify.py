@@ -17,9 +17,6 @@ from roughwave.mollify import (
     EpsLadder,
     Mollifier,
     build_mollifier,
-    embed_derivative,
-    embed_path,
-    scaled_embed,
 )
 
 
@@ -218,7 +215,7 @@ def test_scale_maps_and_guards():
 def test_embed_constant_is_constant():
     p = tabulate(lambda x: np.full_like(x, 3.7), -2.0, 2.0, 0.05 / 8)
     mol = build_mollifier(moments=2)
-    f = embed_path(p, mol, 0.05)
+    f = EmbeddedField1D(p, mol, 0.05)
     xs = np.linspace(f.domain.lo, f.domain.hi, 17)
     assert np.all(np.abs(f.values(xs) - 3.7) <= 1e-8)
 
@@ -226,7 +223,7 @@ def test_embed_constant_is_constant():
 def test_embed_reproduces_quadratic_with_m2():
     p = tabulate(lambda x: x**2, -2.0, 2.0, 0.05 / 8)
     mol = build_mollifier(moments=2)
-    f = embed_path(p, mol, 0.05)
+    f = EmbeddedField1D(p, mol, 0.05)
     xs = np.linspace(-1.0, 1.0, 11)
     assert np.max(np.abs(f.values(xs) - xs**2)) <= 1e-7
 
@@ -234,7 +231,7 @@ def test_embed_reproduces_quadratic_with_m2():
 def test_embed_reproduces_quartic_with_m4():
     p = tabulate(lambda x: x**4 - 2 * x**3 + x, -2.0, 2.0, 0.05 / 8)
     mol = build_mollifier(moments=4)
-    f = embed_path(p, mol, 0.05)
+    f = EmbeddedField1D(p, mol, 0.05)
     xs = np.linspace(-0.8, 0.8, 9)
     want = xs**4 - 2 * xs**3 + xs
     assert np.max(np.abs(f.values(xs) - want)) <= 1e-6
@@ -244,7 +241,7 @@ def test_embed_derivative_of_sine_is_cosine():
     eps = 0.01
     p = tabulate(np.sin, -1.0, 2.0, eps / 8)
     mol = build_mollifier(moments=2)
-    f = embed_derivative(p, mol, eps, order=1)
+    f = EmbeddedField1D(p, mol, eps, base_order=1)
     xs = np.linspace(0.0, 1.0, 13)
     assert np.max(np.abs(f.values(xs) - np.cos(xs))) <= 1e-3
 
@@ -254,8 +251,8 @@ def test_smoothing_commutes_with_differentiation():
     mol = build_mollifier(moments=2)
     p_sin = tabulate(np.sin, -1.0, 2.0, eps / 8)
     p_cos = tabulate(np.cos, -1.0, 2.0, eps / 8)
-    d_of_embed = embed_derivative(p_sin, mol, eps, order=1)
-    embed_of_d = embed_path(p_cos, mol, eps)
+    d_of_embed = EmbeddedField1D(p_sin, mol, eps, base_order=1)
+    embed_of_d = EmbeddedField1D(p_cos, mol, eps)
     rng = np.random.default_rng(1)
     xs = rng.uniform(0.0, 1.0, size=10)
     assert np.max(np.abs(d_of_embed.values(xs) - embed_of_d.values(xs))) <= 1e-6
@@ -265,7 +262,7 @@ def test_field_derivative_matches_finite_difference():
     eps = 0.05
     mol = build_mollifier(moments=2)
     p = tabulate(lambda x: np.exp(np.sin(x)), -2.0, 2.0, eps / 8)
-    f = embed_path(p, mol, eps)
+    f = EmbeddedField1D(p, mol, eps)
     xs = np.linspace(-0.5, 0.5, 7)
     h = 1e-4
     fd = (f.values(xs + h) - f.values(xs - h)) / (2 * h)
@@ -277,8 +274,8 @@ def test_cutoff_independence_at_small_scale():
     p = tabulate(lambda x: np.cos(3 * x), -3.0, 3.0, eps / 8)
     wide = build_mollifier(moments=2, cutoff_inner=1.0, cutoff_outer=2.0)
     narrow = build_mollifier(moments=2, cutoff_inner=0.6, cutoff_outer=1.4)
-    fw = embed_path(p, wide, eps)
-    fn = embed_path(p, narrow, eps)
+    fw = EmbeddedField1D(p, wide, eps)
+    fn = EmbeddedField1D(p, narrow, eps)
     xs = np.linspace(-1.0, 1.0, 21)
     assert np.max(np.abs(fw.values(xs) - fn.values(xs))) <= 1e-8
 
@@ -287,7 +284,7 @@ def test_values_chunks_split_rows_only(monkeypatch):
     eps = 0.05
     mol = build_mollifier(moments=2)
     grid = Grid1D.from_bounds(-1.0, 2.0, int(round(3.0 / (eps / 8))) + 1)
-    f = embed_derivative(sample_brownian_1d(grid, seed=11), mol, eps, order=1)
+    f = EmbeddedField1D(sample_brownian_1d(grid, seed=11), mol, eps, base_order=1)
     width = 2 * (int(np.ceil(mol.support_radius(eps) / grid.step)) + 1) + 1
     rows = mollify._CHUNK_ENTRIES // width
     xs = np.random.default_rng(4).uniform(0.0, 1.0, 3 * rows + 17)
@@ -360,8 +357,9 @@ def test_values_from_strided_path_values():
     raw = np.repeat(sample_brownian_1d(grid, seed=5).values, 2)[::2]
     assert not raw.flags.c_contiguous
     mol = build_mollifier(moments=2)
-    f = embed_path(SampledProcess(grid, raw, seed=5, source="strided"), mol, eps)
-    g = embed_path(SampledProcess(grid, raw.copy(), seed=5, source="copy"), mol, eps)
+    strided = SampledProcess(grid, raw, seed=5, source="strided")
+    copied = SampledProcess(grid, raw.copy(), seed=5, source="copy")
+    f, g = EmbeddedField1D(strided, mol, eps), EmbeddedField1D(copied, mol, eps)
     xs = np.linspace(0.0, 1.0, 101)
     assert np.array_equal(f.values(xs, 1), g.values(xs, 1))
 
@@ -375,7 +373,7 @@ def test_embedded_brownian_converges_to_path():
     window = slice(*np.searchsorted(grid.nodes(), [0.0, 1.0]))
     sups = []
     for eps in ladder.levels():
-        f = embed_path(w, mol, eps)
+        f = EmbeddedField1D(w, mol, eps)
         gap = np.abs(f.values(grid.nodes()[window]) - w.values[window])
         sups.append(np.max(gap))
     sups = np.array(sups)
@@ -392,7 +390,7 @@ def test_embedded_brownian_derivative_sup_grows():
     inner = grid.nodes()[slice(*np.searchsorted(grid.nodes(), [0.0, 1.0]))]
     sups = []
     for eps in ladder.levels():
-        f = embed_derivative(w, mol, eps, order=1)
+        f = EmbeddedField1D(w, mol, eps, base_order=1)
         sups.append(np.max(np.abs(f.values(inner))))
     assert np.all(np.diff(sups) > 0.0)
 
@@ -408,25 +406,17 @@ def test_scaled_embed_log_type_derivative():
     inner = grid.nodes()[slice(*np.searchsorted(grid.nodes(), [0.0, 1.0]))]
     ratios = []
     for eps in ladder.levels():
-        f = scaled_embed(w, mol, eps, ladder, order=1)
+        f = EmbeddedField1D(w, mol, ladder.kernel_scale(eps), base_order=1)
         sup = np.max(np.abs(f.values(inner)))
         ratios.append(sup / abs(np.log(eps)))
     assert max(ratios) <= 3.0
-
-
-def test_scaled_embed_guard():
-    mol = build_mollifier(moments=2)
-    ladder = EpsLadder(0.5, 0.5, 3, scale_map="log")
-    p = tabulate(np.sin, -4.0, 4.0, 0.01)
-    with pytest.raises(ScaleError):
-        scaled_embed(p, mol, 0.5, ladder)
 
 
 def test_resolution_precondition():
     p = tabulate(np.sin, -2.0, 2.0, 0.2)
     mol = build_mollifier(moments=2)
     with pytest.raises(ResolutionError):
-        embed_path(p, mol, 0.1)
+        EmbeddedField1D(p, mol, 0.1)
 
 
 _NEGATIVE_ORDERS = {
@@ -435,14 +425,14 @@ _NEGATIVE_ORDERS = {
         np.array([0.1]), 0.1, -1
     ),
     "1d base_order": lambda p: EmbeddedField1D(p, build_mollifier(), 0.1, base_order=-1),
-    "1d values": lambda p: embed_path(p, build_mollifier(), 0.1).values(
+    "1d values": lambda p: EmbeddedField1D(p, build_mollifier(), 0.1).values(
         np.array([0.0]), order=-1
     ),
     # base_order + order is still >= 0 here; this once returned the
     # order-0 smoothing instead of raising
-    "1d derivative values": lambda p: embed_derivative(p, build_mollifier(), 0.1).values(
-        np.array([0.3]), order=-1
-    ),
+    "1d derivative values": lambda p: EmbeddedField1D(
+        p, build_mollifier(), 0.1, base_order=1
+    ).values(np.array([0.3]), order=-1),
 }
 
 
@@ -457,7 +447,7 @@ def test_domain_guard_on_evaluation():
     eps = 0.05
     p = tabulate(np.sin, -1.0, 1.0, eps / 8)
     mol = build_mollifier(moments=2)
-    f = embed_path(p, mol, eps)
+    f = EmbeddedField1D(p, mol, eps)
     with pytest.raises(DomainError):
         f.values(np.array([0.999]))
 
@@ -467,8 +457,8 @@ def test_integral_uses_antiderivative_embedding():
     mol = build_mollifier(moments=2)
     grid = Grid1D.from_bounds(-2.0, 2.0, int(round(4.0 / (eps / 8))) + 1)
     w = sample_brownian_1d(grid, seed=9)
-    f1 = embed_derivative(w, mol, eps, order=1)
-    f0 = embed_path(w, mol, eps)
+    f1 = EmbeddedField1D(w, mol, eps, base_order=1)
+    f0 = EmbeddedField1D(w, mol, eps)
     a, b = -0.5, 0.75
     got = f1.integral(a, b)
     want = f0.values(np.array([b]))[0] - f0.values(np.array([a]))[0]
