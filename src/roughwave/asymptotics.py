@@ -25,7 +25,6 @@ __all__ = [
     "measure_series",
     "norm_interchange",
     "classify",
-    "counterexample_families",
     "format_classification",
 ]
 
@@ -326,11 +325,6 @@ class SlidingSpikeFamily:
         m = np.exp(1.0 / eps)
         desc = NormDescriptor(Interval(-1.0, 1.0), 0, 0.0, 1)
         return EpsSeries(eps, m, desc)
-
-
-def counterexample_families(p_prime: float = 2.0):
-    """The two injectivity counterexample families with exact moments."""
-    return ExponentialTailFamily(p_prime), SlidingSpikeFamily()
 
 
 def format_classification(c: Classification) -> str:

@@ -84,10 +84,6 @@ class PicardResult:
     xs: np.ndarray
     gaps: np.ndarray  # sup-norm update sizes per iteration
 
-    @property
-    def endpoint(self) -> float:
-        return float(self.xs[-1])
-
 
 def picard_characteristic_oracle(
     speed: Field2D,

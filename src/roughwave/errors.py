@@ -41,9 +41,5 @@ class IterationLimitError(RoughwaveError, RuntimeError):
     """Fixed-point iteration exhausted max_iter without reaching tolerance."""
 
 
-class ScaleError(RoughwaveError, ValueError):
-    """Kernel scale map produced a value outside (0, 1)."""
-
-
 class ConfigError(RoughwaveError, ValueError):
     """Run configuration is malformed; message names the offending key path."""

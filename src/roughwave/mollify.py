@@ -37,12 +37,11 @@ from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
 from scipy.special import expit
 
-from .errors import DomainError, ParameterError, ResolutionError, ScaleError
+from .errors import DomainError, ParameterError, ResolutionError
 from .fields import SampledProcess
 from .smooth import Field1D, Interval
 
 _ALLOWED_MOMENTS = (0, 2, 4, 6)
-_SCALE_MAPS = ("identity", "log", "loglog")
 
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 
@@ -105,40 +104,18 @@ class Mollifier:
     poly_coeffs    coefficients of P in powers of z
     cutoff_inner   a: chi == 1 on |z| <= a
     cutoff_outer   b: chi == 0 on |z| >= b
-    truncation     tabulation threshold; |rho| < truncation is treated as 0
-    trunc_radius   R with |rho(z)| < truncation for |z| > R
+    trunc_radius   R with |rho(z)| < build_mollifier's truncation for |z| > R
     """
 
     poly_coeffs: tuple
     cutoff_inner: float
     cutoff_outer: float
-    truncation: float
     trunc_radius: float
-
-    # -- raw kernel ---------------------------------------------------
 
     def rho(self, z, order: int = 0) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         gauss = _GAUSS_NORM * np.exp(-0.5 * z * z)
         return _horner(_poly_coeffs(self.poly_coeffs, order), z) * gauss
-
-    # -- cutoff --------------------------------------------------------
-
-    def cutoff(self, z, order: int = 0) -> np.ndarray:
-        """Smooth cutoff chi built from the exp(-1/x) step; orders 0..2."""
-        if order not in (0, 1, 2):
-            raise ParameterError("cutoff derivatives available for orders 0..2")
-        z = np.asarray(z, dtype=float)
-        az = np.abs(z)
-        inside = az <= self.cutoff_inner
-        outside = az >= self.cutoff_outer
-        mid = ~(inside | outside)
-        out = np.zeros(z.shape)
-        if order == 0:
-            out[inside] = 1.0
-        if np.any(mid):
-            out[mid] = self._cutoff_band(z[mid], order)[order]
-        return out
 
     def _cutoff_band(self, z: np.ndarray, order: int) -> list:
         """[chi(z), ..., chi^(order)(z)] for points with a < |z| < b."""
@@ -158,8 +135,6 @@ class Mollifier:
             gpp = 2.0 / u**3 - 2.0 / (1.0 - u) ** 3
             out.append(mass * ((1.0 - 2.0 * sig) * gp**2 + gpp) / (b - a) ** 2)
         return out
-
-    # -- scaled, cut-off kernel ----------------------------------------
 
     def support_radius(self, scale: float) -> float:
         """Radius beyond which the scaled kernel is treated as zero."""
@@ -255,14 +230,18 @@ def build_mollifier(
         poly_coeffs=tuple(coeffs),
         cutoff_inner=cutoff_inner,
         cutoff_outer=cutoff_outer,
-        truncation=truncation,
         trunc_radius=trunc_radius,
     )
 
 
 @dataclass(frozen=True)
 class EpsLadder:
-    """Geometric ladder of smoothing parameters eps0 * ratio**k."""
+    """Geometric ladder of smoothing parameters eps0 * ratio**k.
+
+    Every scenario smooths at the level eps itself, so scale_map accepts
+    only "identity".  The key remains because each report's config echo
+    records it, and the benchmark's reference echoes compare that row.
+    """
 
     eps0: float
     ratio: float
@@ -276,26 +255,12 @@ class EpsLadder:
             raise ParameterError(f"ratio must be in (0, 1), got {self.ratio}")
         if self.count < 1:
             raise ParameterError(f"count must be >= 1, got {self.count}")
-        if self.scale_map not in _SCALE_MAPS:
-            raise ParameterError(f"scale_map must be one of {_SCALE_MAPS}")
+        if self.scale_map != "identity":
+            raise ParameterError(f"scale_map must be 'identity': no scenario "
+                                 f"reads it, got {self.scale_map!r}")
 
     def levels(self) -> np.ndarray:
         return self.eps0 * self.ratio ** np.arange(self.count)
-
-    def kernel_scale(self, eps: float) -> float:
-        """Map a ladder level to the kernel scale; must land in (0, 1)."""
-        if self.scale_map == "identity":
-            s = eps
-        elif self.scale_map == "log":
-            s = 1.0 / abs(np.log(eps))
-        else:  # loglog
-            inner = abs(np.log(eps))
-            if inner <= 1.0:
-                raise ScaleError(f"loglog scale undefined at eps={eps}")
-            s = 1.0 / np.log(inner)
-        if not (0.0 < s < 1.0):
-            raise ScaleError(f"kernel scale {s} outside (0, 1) at eps={eps}")
-        return float(s)
 
 
 class EmbeddedField1D(Field1D):

@@ -278,11 +278,6 @@ def _require_levels(name: str, ladder: EpsLadder, why: str) -> None:
     if ladder.count < 2:
         raise ParameterError(
             f"{name} count must be >= 2: {why}, got {ladder.count}")
-    # the scenarios smooth at eps itself; another map would only change the echo
-    if ladder.scale_map != "identity":
-        raise ParameterError(
-            f"{name} scale_map must be 'identity': no scenario reads it, "
-            f"got {ladder.scale_map!r}")
 
 
 def _pool_map(fn: Callable, args: Sequence, jobs: int) -> list:

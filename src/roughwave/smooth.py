@@ -113,6 +113,15 @@ def running_trapezoid(y: np.ndarray, dx) -> np.ndarray:
     return np.concatenate([[0.0], np.cumsum(dx * (y[1:] + y[:-1]) / 2.0)])
 
 
+def _owned(out, shape: tuple, *inputs) -> np.ndarray:
+    """out as a writable float array of shape that shares no memory with inputs."""
+    out = np.asarray(out, dtype=float)
+    if (out.shape == shape and out.flags.writeable
+            and not any(np.may_share_memory(out, a) for a in inputs)):
+        return out
+    return np.broadcast_to(out, shape).copy()
+
+
 class AnalyticField1D(Field1D):
     """Closed-form field: one callable per derivative order.
 
@@ -140,8 +149,7 @@ class AnalyticField1D(Field1D):
             )
         x = np.asarray(x, dtype=float)
         self.check_domain(x)
-        out = self._fns[order](x)
-        return np.broadcast_to(np.asarray(out, dtype=float), x.shape).copy()
+        return _owned(self._fns[order](x), x.shape, x)
 
     def integral(self, a: float, b: float) -> float:
         if self._antideriv is not None:
@@ -228,9 +236,8 @@ class AnalyticField2D(Field2D):
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         self.check_domain(x, t)
-        out = self._fns[(dx, dt)](x, t)
         shape = np.broadcast_shapes(x.shape, t.shape)
-        return np.broadcast_to(np.asarray(out, dtype=float), shape).copy()
+        return _owned(self._fns[(dx, dt)](x, t), shape, x, t)
 
 
 class FromX(Field2D):
@@ -249,8 +256,7 @@ class FromX(Field2D):
         shape = np.broadcast_shapes(x.shape, np.asarray(t).shape)
         if dt > 0:
             return np.zeros(shape)
-        out = self._f.values(x, dx)
-        return np.broadcast_to(out, shape).copy()
+        return _owned(self._f.values(x, dx), shape, x, t)
 
 
 class TransformedField2D(Field2D):

@@ -9,9 +9,10 @@ import numpy as np
 
 from roughwave.asymptotics import (
     EpsSeries,
+    ExponentialTailFamily,
     NormDescriptor,
+    SlidingSpikeFamily,
     classify,
-    counterexample_families,
 )
 from roughwave.fields import SampledProcess
 from roughwave.grids import Grid1D
@@ -184,7 +185,7 @@ def test_criterion_7_classifier_conformance():
     c_pow = classify(EpsSeries(lad, eps**-2.0, desc))
     c_log = classify(EpsSeries(lad, 3.0 * np.abs(np.log(eps)), desc))
     c_const = classify(EpsSeries(lad, np.full(8, 2.5), desc))
-    fam_a, fam_b = counterexample_families(2.0)
+    fam_a, fam_b = ExponentialTailFamily(2.0), SlidingSpikeFamily()
     c_below = classify(fam_a.moment_series(1.0, lad))
     c_at = classify(fam_a.moment_series(2.0, lad))
     c_l1 = classify(fam_b.l1_series(EpsLadder(0.25, 0.5, 8)))

@@ -4,9 +4,10 @@ import pytest
 from roughwave.asymptotics import (
     Classification,
     EpsSeries,
+    ExponentialTailFamily,
     NormDescriptor,
+    SlidingSpikeFamily,
     classify,
-    counterexample_families,
     format_classification,
     measure_series,
     norm_interchange,
@@ -176,14 +177,14 @@ def test_classify_needs_five_levels():
 
 
 def test_family_a_moment_identities():
-    fam_a, _ = counterexample_families(2.0)
+    fam_a = ExponentialTailFamily(2.0)
     for eps in LADDER.levels()[:4]:
         assert fam_a.moment(2.0, eps) == 1.0
         assert fam_a.moment(1.0, eps) == pytest.approx(np.exp(-1.0 / eps), rel=1e-12)
 
 
 def test_family_a_monte_carlo_matches_closed_form():
-    fam_a, _ = counterexample_families(2.0)
+    fam_a = ExponentialTailFamily(2.0)
     rng = np.random.default_rng(123)
     draws = fam_a.sample(0.5, 40000, rng)
     se = draws.std(ddof=1) / np.sqrt(draws.size)
@@ -191,7 +192,7 @@ def test_family_a_monte_carlo_matches_closed_form():
 
 
 def test_family_a_classification():
-    fam_a, _ = counterexample_families(2.0)
+    fam_a = ExponentialTailFamily(2.0)
     c = classify(fam_a.moment_series(1.0, LADDER))
     assert c.verdict == "negligible-to-order"
     assert c.value == 8.0
@@ -202,7 +203,7 @@ def test_family_a_classification():
 
 
 def test_family_b_l1_bounded():
-    _, fam_b = counterexample_families()
+    fam_b = SlidingSpikeFamily()
     for eps in EpsLadder(0.5, 0.5, 8).levels():
         assert fam_b.l1_moment(eps) <= 1.0 + 1e-12
     ser = fam_b.l1_series(EpsLadder(0.25, 0.5, 8))
@@ -213,7 +214,7 @@ def test_family_b_l1_bounded():
 
 
 def test_family_b_planted_blowup():
-    _, fam_b = counterexample_families()
+    fam_b = SlidingSpikeFamily()
     omega = 0.37
     # the float indicator is honest at shallow depths
     for k in range(1, 5):
@@ -227,7 +228,7 @@ def test_family_b_planted_blowup():
 
 
 def test_family_b_validation():
-    _, fam_b = counterexample_families()
+    fam_b = SlidingSpikeFamily()
     with pytest.raises(DomainError):
         fam_b.blowup_levels(1.5, 4)
     with pytest.raises(ParameterError):

@@ -67,7 +67,7 @@ def test_picard_agrees_with_rk4():
     c = analytic_speed()
     xs = flow_levels(c, np.array([0.1]), 0.0, 1.0, 800)[:, 0]
     pic = picard_characteristic_oracle(c, x0=0.1, t0=0.0, t1=1.0, n_nodes=4097)
-    assert abs(pic.endpoint - xs[-1]) <= 1e-8
+    assert abs(pic.xs[-1] - xs[-1]) <= 1e-8
     # update sizes decay geometrically once the iteration settles
     g = pic.gaps[pic.gaps > 0]
     assert np.all(np.diff(g[1:]) < 0.0)

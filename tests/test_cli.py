@@ -223,7 +223,7 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
     ("geometric-wave", {"sine_chart_nodes": 2}, "sine_chart_nodes must be >= 3"),
     ("random-speed-wave",
      {"ladder": {"eps0": 0.4, "ratio": 0.5, "count": 4, "scale_map": "log"}},
-     "ladder scale_map must be 'identity'"),
+     "ladder': scale_map must be 'identity'"),
     # the mean reference reads the data out to max|probe| + 6.5 shift sds
     ("ogawa", {"data_halfwidth": 1.0, "n_samples": 4}, "data_halfwidth 1.0 too small"),
     ("ogawa", {"data_halfwidth": 7.0, "n_samples": 4}, "data_halfwidth 7.0 too small"),

@@ -7,7 +7,6 @@ from roughwave.errors import (
     DomainError,
     ParameterError,
     ResolutionError,
-    ScaleError,
 )
 from roughwave.fields import SampledProcess, sample_brownian_1d
 from roughwave.grids import Grid1D
@@ -47,18 +46,18 @@ def test_trunc_radius_brackets_tail():
     r = mol.trunc_radius
     assert 5.0 < r < 10.0
     zs = np.linspace(r, r + 5.0, 200)
-    assert np.all(np.abs(mol.rho(zs)) < mol.truncation)
+    assert np.all(np.abs(mol.rho(zs)) < 1e-12)  # build_mollifier's truncation
 
 
-def test_cutoff_plateau_and_support():
+def test_cutoff_band_is_a_monotone_step():
+    # the plateau and the support are pinned against _reference_cutoff by
+    # test_kernel_values_bitwise_equal_full_cutoff_product
     mol = build_mollifier(moments=0, cutoff_inner=1.0, cutoff_outer=2.0)
-    assert np.all(mol.cutoff(np.linspace(-1.0, 1.0, 11)) == 1.0)
-    assert np.all(mol.cutoff(np.array([-2.5, 2.0, 3.0])) == 0.0)
-    mid = mol.cutoff(np.linspace(1.2, 1.8, 200))
+    mid = mol._cutoff_band(np.linspace(1.2, 1.8, 200), 0)[0]
     assert np.all(mid > 0.0) and np.all(mid < 1.0)
     assert np.all(np.diff(mid) < 0.0)  # monotone decay on the right
-    # outside the core band the float value may saturate but never escapes [0, 1]
-    edge = mol.cutoff(np.linspace(1.0, 2.0, 401))
+    # near the band's ends the float value may saturate but never escapes [0, 1]
+    edge = mol._cutoff_band(np.linspace(1.0, 2.0, 401)[1:-1], 0)[0]
     assert np.all(edge >= 0.0) and np.all(edge <= 1.0)
     assert np.all(np.diff(edge) <= 0.0)
 
@@ -68,8 +67,12 @@ def test_cutoff_derivatives_match_finite_differences(order):
     mol = build_mollifier(moments=0)
     z = np.array([-1.9, -1.5, -1.2, 1.1, 1.4, 1.8])
     h = 1e-5
-    got = mol.cutoff(z, order)
-    fd = (mol.cutoff(z + h, order - 1) - mol.cutoff(z - h, order - 1)) / (2 * h)
+
+    def chi(zz, k):
+        return mol._cutoff_band(zz, k)[k]
+
+    got = chi(z, order)
+    fd = (chi(z + h, order - 1) - chi(z - h, order - 1)) / (2 * h)
     assert np.allclose(got, fd, atol=1e-4, rtol=1e-4)
 
 
@@ -197,16 +200,10 @@ def test_ladder_validation():
         EpsLadder(0.5, 0.5, 4, scale_map="cubic")
 
 
-def test_scale_maps_and_guards():
-    lad_log = EpsLadder(0.25, 0.5, 4, scale_map="log")
-    s = lad_log.kernel_scale(0.25)
-    assert s == pytest.approx(1.0 / abs(np.log(0.25)))
-    with pytest.raises(ScaleError):
-        lad_log.kernel_scale(0.5)  # |log 0.5| < 1 -> scale >= 1
-    lad_ll = EpsLadder(0.01, 0.5, 3, scale_map="loglog")
-    assert 0.0 < lad_ll.kernel_scale(0.01) < 1.0
-    with pytest.raises(ScaleError):
-        lad_ll.kernel_scale(0.5)
+@pytest.mark.parametrize("scale_map", ["log", "loglog"])
+def test_ladder_refuses_scale_maps_no_scenario_reads(scale_map):
+    with pytest.raises(ParameterError, match="scale_map must be 'identity'"):
+        EpsLadder(0.5, 0.5, 4, scale_map=scale_map)
 
 
 # ------------------------------------------------------------- embedding
@@ -397,16 +394,16 @@ def test_embedded_brownian_derivative_sup_grows():
 
 def test_scaled_embed_log_type_derivative():
     # with kernel scale 1/|log eps| the derivative sup stays O(|log eps|)
-    ladder = EpsLadder(0.25, 0.35, 6, scale_map="log")
+    ladder = EpsLadder(0.25, 0.35, 6)
     mol = build_mollifier(moments=2)
-    finest_scale = ladder.kernel_scale(ladder.levels()[-1])
+    finest_scale = 1.0 / abs(np.log(ladder.levels()[-1]))
     step = finest_scale / 8.0
     grid = Grid1D.from_bounds(-4.0, 5.0, int(round(9.0 / step)) + 1)
     w = sample_brownian_1d(grid, seed=5)
     inner = grid.nodes()[slice(*np.searchsorted(grid.nodes(), [0.0, 1.0]))]
     ratios = []
     for eps in ladder.levels():
-        f = EmbeddedField1D(w, mol, ladder.kernel_scale(eps), base_order=1)
+        f = EmbeddedField1D(w, mol, 1.0 / abs(np.log(eps)), base_order=1)
         sup = np.max(np.abs(f.values(inner)))
         ratios.append(sup / abs(np.log(eps)))
     assert max(ratios) <= 3.0
