@@ -50,12 +50,14 @@ def _deep_tuple(value):
 def _build_ladder(value, path: str) -> EpsLadder:
     if not isinstance(value, dict):
         raise ConfigError(f"'{path}' must be a mapping with eps0/ratio/count")
-    allowed = {"eps0", "ratio", "count", "scale_map"}
+    declared = {f.name: f.type for f in fields(EpsLadder)}
     for key in value:
-        if key not in allowed:
+        if key not in declared:
             raise ConfigError(f"unknown config key '{path}.{key}'")
+    kwargs = {key: _coerce(v, declared[key], f"{path}.{key}")
+              for key, v in value.items()}
     try:
-        return EpsLadder(**value)
+        return EpsLadder(**kwargs)
     except (RoughwaveError, TypeError) as exc:
         raise ConfigError(f"'{path}': {exc}") from exc
 

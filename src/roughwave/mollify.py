@@ -18,17 +18,29 @@ so the value there is the order-k Gaussian term alone, and beyond
 cutoff_outer it is exactly 0.  A call whose points all lie on the plateau
 skips the cutoff entirely.  A smoothing window at scale s skips the
 cutoff once trunc_radius * s, plus the few path steps the window adds,
-is at most cutoff_inner.  Each kept term is computed with the same floating-point
-operations, in the same order, as the full sum, so the values equal it
-bit for bit.
+is at most cutoff_inner.  The band is evaluated on column slices of the
+window: its offsets fall along each row, so the columns holding band
+entries are a few at each edge, and every entry of those columns takes
+the band arithmetic before masks keep the band's values, zero beyond
+cutoff_outer and the plateau term elsewhere.  Each kept term is computed
+with the same floating-point operations, in the same order, as the full
+sum, so the values equal it bit for bit.
 
 A smoothing window reads whole rows of two strided views, one of the
 grid's node positions and one of the path values, so no per-entry index
-array is built.
+array is built.  A query of several chunks makes one _Scratch set and
+writes every kernel intermediate into it with out= ufuncs.  Fresh
+temporaries on every chunk cost more than their arithmetic: the heap
+returned their pages after each chunk and took them back, zero-filled,
+on the next, so one default geometric-wave call took 205 000-228 000
+minor page faults, nearly all in its one band-reaching query; with the
+scratch set it takes about 6 500.  The set lives for one values call, so
+threads that share a Mollifier never share buffers.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -46,12 +58,14 @@ _ALLOWED_MOMENTS = (0, 2, 4, 6)
 _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 
 # Window entries per chunk of EmbeddedField1D.values, and per row block of
-# scenarios.cone_average_tab.  A float temporary of 2^16 entries is 512 KiB,
+# scenarios.cone_average_tab.  A float buffer of 2^16 entries is 512 KiB,
 # so the few a kernel evaluation holds fit a 2 MiB per-core L2 cache and
-# each numpy pass reads cache, not memory.  Swept on the geometric eps = 0.2
-# query (32 769 points, 997-entry windows; Xeon, 2 MiB L2 per core), best
-# of 3: 2.28 s at 2^20, 1.30 at 2^18, 0.79 at 2^16, 0.94 at 2^15, 0.94 at
-# 2^14 and 1.23 at 2^12, with 2^16 fastest or within noise in six sweeps.
+# each numpy pass reads cache, not memory.  A query of several chunks
+# writes them all into one _Scratch set, so after its first chunk the
+# kernel and the cutoff band page in no fresh memory.  Swept with that
+# set on the geometric eps = 0.2 query (32 769 points, 997-entry windows;
+# Xeon, 2 MiB L2 per core), best of 3: 1.24 s at 2^20, 0.94 at 2^18, 0.76
+# at 2^17, 0.70 at 2^16, 0.72 at 2^15, 0.80 at 2^14 and 1.69 at 2^12.
 _CHUNK_ENTRIES = 1 << 16
 
 
@@ -76,16 +90,59 @@ def _node_rows(lower: float, step: float, count: int, width: int) -> np.ndarray:
     return sliding_window_view(lower + np.arange(count) * step, width)
 
 
-def _horner(coeffs: tuple, x: np.ndarray) -> np.ndarray:
+def _horner(coeffs: tuple, x: np.ndarray, out=None) -> np.ndarray:
     # the operations of numpy's polyval with the identity domain map
     if len(coeffs) == 1:
-        return np.full(x.shape, coeffs[0])
-    acc = coeffs[-1] * x
-    acc += coeffs[-2]
+        out = np.empty(x.shape) if out is None else out
+        out[...] = coeffs[0]
+        return out
+    out = np.multiply(x, coeffs[-1], out=out)
+    out += coeffs[-2]
     for c in coeffs[-3::-1]:
-        acc *= x
-        acc += c
-    return acc
+        out *= x
+        out += c
+    return out
+
+
+class _Scratch:
+    """Flat buffers of one size, made on first use and reused by name.
+
+    ``scratch(name, shape)`` returns the first entries of the named buffer
+    as an array of that shape, so one set serves every chunk of a query.
+    A name's previous contents are the caller's until it asks again.
+    """
+
+    __slots__ = ("size", "_bufs")
+
+    def __init__(self, size: int):
+        self.size = size
+        self._bufs = {}
+
+    def __call__(self, name: str, shape: tuple, dtype=float) -> np.ndarray:
+        buf = self._bufs.get(name)
+        if buf is None:
+            buf = self._bufs[name] = np.empty(self.size, dtype)
+        return buf[: math.prod(shape)].reshape(shape)
+
+
+def _fresh(name: str, shape: tuple, dtype=float) -> None:
+    """Stands in for a _Scratch: each ufunc given out=None makes its result."""
+    return None
+
+
+def _edge_columns(hit: np.ndarray) -> tuple:
+    """Column slices that cover every True of ``hit``.
+
+    A smoothing window's offsets fall along each row, so the columns
+    that reach the cutoff band are a prefix and a suffix; any other
+    pattern is covered by one slice of all columns.
+    """
+    clear = np.flatnonzero(~hit)
+    n = hit.size
+    if clear.size == 0 or clear[-1] + 1 - clear[0] != clear.size:
+        return (slice(0, n),)
+    lo, hi = int(clear[0]), int(clear[-1]) + 1
+    return tuple(s for s in (slice(0, lo), slice(hi, n)) if s.start < s.stop)
 
 
 def _double_factorial_even_moments(n: int) -> np.ndarray:
@@ -117,74 +174,127 @@ class Mollifier:
         gauss = _GAUSS_NORM * np.exp(-0.5 * z * z)
         return _horner(_poly_coeffs(self.poly_coeffs, order), z) * gauss
 
-    def _cutoff_band(self, z: np.ndarray, order: int) -> list:
-        """[chi(z), ..., chi^(order)(z)] for points with a < |z| < b."""
+    def _cutoff_band(self, z: np.ndarray, order: int, scratch=_fresh) -> list:
+        """[chi(z), ..., chi^(order)(z)] for points with a < |z| < b.
+
+        Every array has z's shape and is written into ``scratch``.
+        """
         a, b = self.cutoff_inner, self.cutoff_outer
-        u = (np.abs(z) - a) / (b - a)
-        u = np.clip(u, 1e-9, 1.0 - 1e-9)
+        shape = z.shape
+        u = np.abs(z, out=scratch("band_u", shape))
+        u -= a
+        u /= b - a
+        np.clip(u, 1e-9, 1.0 - 1e-9, out=u)
         # chi = expit(g(u)), g = 1/u - 1/(1-u); equals the classic
         # exp(-1/x) smooth step and is exactly 1/0 at the endpoints.
-        g = 1.0 / u - 1.0 / (1.0 - u)
-        sig = expit(g)
+        g = np.divide(1.0, u, out=scratch("band_sig", shape))
+        t = np.subtract(1.0, u, out=scratch("band_t", shape))
+        np.divide(1.0, t, out=t)
+        g -= t
+        sig = expit(g, out=g)
         out = [sig]
         if order >= 1:
-            gp = -1.0 / u**2 - 1.0 / (1.0 - u) ** 2
-            mass = sig * (1.0 - sig)
-            out.append(mass * gp / (b - a) * np.sign(z))
+            # gp = -1/u**2 - 1/(1-u)**2
+            gp = np.square(u, out=scratch("band_gp", shape))
+            np.divide(-1.0, gp, out=gp)
+            np.subtract(1.0, u, out=t)
+            np.square(t, out=t)
+            np.divide(1.0, t, out=t)
+            gp -= t
+            mass = np.subtract(1.0, sig, out=scratch("band_mass", shape))
+            mass *= sig
+            # mass * gp / (b - a) * sign(z)
+            chi1 = np.multiply(mass, gp, out=scratch("band_chi1", shape))
+            chi1 /= b - a
+            chi1 *= np.sign(z, out=t)
+            out.append(chi1)
         if order >= 2:
-            gpp = 2.0 / u**3 - 2.0 / (1.0 - u) ** 3
-            out.append(mass * ((1.0 - 2.0 * sig) * gp**2 + gpp) / (b - a) ** 2)
+            # gpp = 2/u**3 - 2/(1-u)**3
+            gpp = np.power(u, 3, out=scratch("band_chi2", shape))
+            np.divide(2.0, gpp, out=gpp)
+            np.subtract(1.0, u, out=t)
+            np.power(t, 3, out=t)
+            np.divide(2.0, t, out=t)
+            gpp -= t
+            # mass * ((1 - 2 sig) * gp**2 + gpp) / (b - a)**2
+            np.multiply(sig, 2.0, out=t)
+            np.subtract(1.0, t, out=t)
+            t *= np.square(gp, out=gp)
+            t += gpp
+            chi2 = np.multiply(mass, t, out=gpp)
+            chi2 /= (b - a) ** 2
+            out.append(chi2)
         return out
 
     def support_radius(self, scale: float) -> float:
         """Radius beyond which the scaled kernel is treated as zero."""
         return min(self.cutoff_outer, self.trunc_radius * scale)
 
-    def kernel_values(self, z, scale: float, order: int = 0) -> np.ndarray:
-        """d^order/dz^order of chi(z) * rho(z / scale) / scale."""
+    def kernel_values(self, z, scale: float, order: int = 0,
+                      scratch=_fresh) -> np.ndarray:
+        """d^order/dz^order of chi(z) * rho(z / scale) / scale.
+
+        Given a _Scratch of at least z.size entries, every intermediate and
+        the result are views of its buffers, valid until its next use.
+        """
         z = np.asarray(z, dtype=float)
         # Higher orders only when the cutoff plateau covers the support.
         if order > 2 and self.trunc_radius * scale > self.cutoff_inner:
             raise ParameterError(
                 f"kernel derivative order {order} needs trunc_radius*scale <= cutoff_inner"
             )
-        shape = z.shape
-        z = z.reshape(-1)
-        u = z / scale
-        gauss = -0.5 * u
+        # rows by columns: a smoothing window, or one row of points
+        if z.ndim > 1:
+            z2 = z.reshape(math.prod(z.shape[:-1]), z.shape[-1])
+        else:
+            z2 = z.reshape(1, -1)
+        shape = z2.shape
+        u = np.divide(z2, scale, out=scratch("u", shape))
+        gauss = np.multiply(u, -0.5, out=scratch("gauss", shape))
         gauss *= u
         np.exp(gauss, out=gauss)
         gauss *= _GAUSS_NORM
 
-        def rho_k(k, sub=Ellipsis):
-            # rho^(k)(z / scale) on the entries sub
-            r = _horner(_poly_coeffs(self.poly_coeffs, k), u[sub])
-            r *= gauss[sub]
+        def rho_k(k, uu, gg, dest):
+            # rho^(k)(z / scale) from matching entries uu of u and gg of gauss
+            r = _horner(_poly_coeffs(self.poly_coeffs, k), uu, dest)
+            r *= gg
             return r
 
-        def term(k, sub=Ellipsis):
-            r = rho_k(k, sub)
-            r /= scale ** (k + 1)
-            return r
-
-        out = term(order)
+        out = rho_k(order, u, gauss, scratch("out", shape))
+        out /= scale ** (order + 1)
         a, b = self.cutoff_inner, self.cutoff_outer
-        if z.size and (z.min() < -a or z.max() > a):
-            az = np.abs(z)
-            out[az >= b] = 0.0
-            band = np.flatnonzero((az > a) & (az < b))
-            chi = self._cutoff_band(z[band], min(order, 2))
-            if order > 2:
-                # (chi * rho^(k)) / scale**(k + 1), in that order
-                out[band] = chi[0] * rho_k(order, band) / scale ** (order + 1)
-            else:
-                # Leibniz sum with binomial weights 1, order, 1
-                val = chi[0] * out[band]
-                for j in range(1, order + 1):
-                    comb = order if j == 1 else 1.0
-                    val += comb * chi[j] * term(order - j, band)
-                out[band] = val
-        return out.reshape(shape)
+        if z.size and (z2.min() < -a or z2.max() > a):
+            hit = z2.max(axis=0) > a
+            hit |= z2.min(axis=0) < -a
+            for cols in _edge_columns(hit):
+                zc, oc = z2[:, cols], out[:, cols]
+                sub = zc.shape
+                az = np.abs(zc, out=scratch("az", sub))
+                band = np.greater(az, a, out=scratch("band", sub, bool))
+                # the outer mask's buffer holds az < b until band takes it
+                band &= np.less(az, b, out=scratch("outer", sub, bool))
+                outer = np.greater_equal(az, b, out=scratch("outer", sub, bool))
+                chi = self._cutoff_band(zc, min(order, 2), scratch)
+                uc, gc, tc = u[:, cols], gauss[:, cols], scratch("term", sub)
+                val = chi[0]
+                if order > 2:
+                    # (chi * rho^(k)) / scale**(k + 1), in that order
+                    val *= rho_k(order, uc, gc, tc)
+                    val /= scale ** (order + 1)
+                else:
+                    # Leibniz sum with binomial weights 1, order, 1
+                    val *= oc
+                    for j in range(1, order + 1):
+                        c = chi[j]
+                        c *= order if j == 1 else 1.0
+                        t = rho_k(order - j, uc, gc, tc)
+                        t /= scale ** (order - j + 1)
+                        c *= t
+                        val += c
+                np.copyto(oc, val, where=band)
+                np.copyto(oc, 0.0, where=outer)
+        return out.reshape(z.shape)
 
 
 def build_mollifier(
@@ -314,6 +424,10 @@ class EmbeddedField1D(Field1D):
         # constructor costs a fraction of as_strided on one-point queries
         vals = np.ndarray(nodes.shape, float, vals, 0, vals.strides * 2)
         max_chunk = max(1, _CHUNK_ENTRIES // self._width)
+        # one set of kernel buffers serves every chunk of a longer query; a
+        # one-chunk query has nothing to reuse and skips the name lookups
+        scratch = (_Scratch(max_chunk * self._width) if flat.size > max_chunk
+                   else _fresh)
         for lo in range(0, flat.size, max_chunk):
             xs = flat[lo : lo + max_chunk]
             j0 = np.floor((xs - g.lower) / g.step).astype(np.int64) - self._hw
@@ -321,10 +435,15 @@ class EmbeddedField1D(Field1D):
             j0 = np.minimum(np.maximum(j0, 0), g.count - self._width)
             z = nodes[j0]
             np.subtract(xs[:, None], z, out=z)
-            w = self.mol.kernel_values(z, self.scale, self.base_order + order)
+            w = self.mol.kernel_values(z, self.scale, self.base_order + order,
+                                       scratch)
+            # free each gathered block before the next gather, so that all
+            # of them reuse the one block of heap the cache still holds
+            del z
             v = vals[j0]
             v *= w
             out[lo : lo + max_chunk] = v.sum(axis=1) * g.step
+            del v
         return out.reshape(x.shape)
 
     def shift_order(self, delta: int) -> "EmbeddedField1D":

@@ -121,6 +121,14 @@ def test_parse_tuple_elements_typed_by_default(scenario, key, value, path):
         parse_config(data)
 
 
+def test_parse_ladder_integer_numbers_become_floats():
+    rc = parse_config({"scenario": "random-speed-wave", "master_seed": 7,
+                       "random-speed-wave": {"ladder": {"eps0": 1, "ratio": 0.5,
+                                                        "count": 2}}})
+    assert type(rc.spec.ladder.eps0) is float and rc.spec.ladder.eps0 == 1.0
+    assert type(rc.spec.ladder.count) is int
+
+
 def test_parse_tuple_elements_accept_integer_numbers():
     rc = parse_config({"scenario": "ogawa", "master_seed": 7,
                        "ogawa": {"probes": [0, 1]}})
@@ -224,6 +232,16 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
     ("random-speed-wave",
      {"ladder": {"eps0": 0.4, "ratio": 0.5, "count": 4, "scale_map": "log"}},
      "ladder': scale_map must be 'identity'"),
+    # ladder keys are typed like every other spec field
+    ("random-speed-wave", {"ladder": {"eps0": 0.4, "ratio": 0.5, "count": 2.5}},
+     "'random-speed-wave.ladder.count' must be an integer, got 2.5"),
+    ("random-speed-wave", {"ladder": {"eps0": True, "ratio": 0.5, "count": 4}},
+     "'random-speed-wave.ladder.eps0' must be a number, got True"),
+    ("geometric-wave", {"sine_ladder": {"eps0": 0.2, "ratio": "half", "count": 4}},
+     "'geometric-wave.sine_ladder.ratio' must be a number, got 'half'"),
+    ("additive-noise-wave",
+     {"cauchy_ladder": {"eps0": 0.16, "ratio": 0.5, "count": 4, "scale_map": 1}},
+     "'additive-noise-wave.cauchy_ladder.scale_map' must be a string, got 1"),
     # the mean reference reads the data out to max|probe| + 6.5 shift sds
     ("ogawa", {"data_halfwidth": 1.0, "n_samples": 4}, "data_halfwidth 1.0 too small"),
     ("ogawa", {"data_halfwidth": 7.0, "n_samples": 4}, "data_halfwidth 7.0 too small"),
@@ -233,6 +251,8 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
         "ogawa-no-check-times", "ogawa-one-sample", "calibration-dt-zero",
         "calibration-kappa-negative", "geometric-one-level-sine-ladder",
         "geometric-two-chart-nodes", "random-speed-log-scale-map",
+        "ladder-fractional-count", "ladder-boolean-eps0", "ladder-string-ratio",
+        "ladder-integer-scale-map",
         "ogawa-data-halfwidth-1", "ogawa-data-halfwidth-7",
         "ogawa-coarse-eps-default-halfwidth"])
 def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,

@@ -143,10 +143,13 @@ def test_kernel_values_bitwise_equal_full_cutoff_product(m, order, scale):
     shifts = np.random.default_rng(m + 10 * order).uniform(0.0, step, 5)
     window = shifts[:, None] - (np.arange(2 * hw + 1) - hw)[None, :] * step
     edges = np.array([-b - step, -b, -a, -0.5 * (a + b), 0.0, a, np.nextafter(a, b), b])
-    for z in (window, edges, np.array([-a, 0.0, a]), np.array(0.5 * a)):
-        got = mol.kernel_values(z, scale, order)
-        assert got.shape == z.shape
-        assert np.array_equal(got, _reference_kernel(mol, z, scale, order))
+    scratch = mollify._Scratch(window.size)  # one set for every shape below
+    for z in (window, edges, np.array([-a, 0.0, a]), np.array(0.5 * a), window[:2]):
+        want = _reference_kernel(mol, z, scale, order)
+        for got in (mol.kernel_values(z, scale, order),
+                    mol.kernel_values(z, scale, order, scratch)):
+            assert got.shape == z.shape
+            assert np.array_equal(got, want)
 
 
 @pytest.mark.parametrize("order", [3, 4])
@@ -154,9 +157,13 @@ def test_kernel_values_high_order_bitwise_equal(order):
     mol = build_mollifier(moments=2)
     scale = 0.1  # trunc_radius * scale <= cutoff_inner
     z = np.concatenate([np.linspace(-0.9, 0.9, 37), [-1.5, 1.0, 1.2, 2.0, 2.5]])
-    for zz in (z[:37], z):
-        assert np.array_equal(mol.kernel_values(zz, scale, order),
-                              _reference_kernel(mol, zz, scale, order))
+    # a window whose edge columns just pass cutoff_inner
+    window = np.linspace(1.05, -1.05, 43)[None, :] + np.linspace(0.0, 0.02, 6)[:, None]
+    scratch = mollify._Scratch(window.size)
+    for zz in (z[:37], z, window):
+        want = _reference_kernel(mol, zz, scale, order)
+        assert np.array_equal(mol.kernel_values(zz, scale, order), want)
+        assert np.array_equal(mol.kernel_values(zz, scale, order, scratch), want)
 
 
 def test_kernel_quadrature_mass_unit():
@@ -288,9 +295,9 @@ def test_values_chunks_split_rows_only(monkeypatch):
     sizes = []
     inner = Mollifier.kernel_values
 
-    def counting(self, z, scale, order=0):
+    def counting(self, z, *args):
         sizes.append(np.size(z))
-        return inner(self, z, scale, order)
+        return inner(self, z, *args)
 
     monkeypatch.setattr(Mollifier, "kernel_values", counting)
     whole = f.values(xs)
@@ -320,9 +327,10 @@ def _assert_same_bits(got, want):
 
 
 # plateau-only windows at every order, and windows that reach the cutoff
-# band at the orders it allows (base_order + order <= 2)
+# band at the orders it allows (base_order + order <= 2); at eps 0.32 they
+# also pass cutoff_outer, where the kernel is exactly 0
 @pytest.mark.parametrize("eps, base_order, order", [
-    (eps, b, k) for eps in (0.05, 0.2) for b in range(3) for k in range(3)
+    (eps, b, k) for eps in (0.05, 0.2, 0.32) for b in range(3) for k in range(3)
     if eps == 0.05 or b + k <= 2
 ])
 def test_values_bitwise_equal_index_array_window(eps, base_order, order):
@@ -332,11 +340,14 @@ def test_values_bitwise_equal_index_array_window(eps, base_order, order):
     lo, hi = f.domain.lo, f.domain.hi
     rows = mollify._CHUNK_ENTRIES // f._width
     rng = np.random.default_rng(base_order + 3 * order)
+    # windows clipped at the lower and the upper grid end
+    ends = np.array([lo, np.nextafter(lo, hi), lo + grid.step, hi - grid.step,
+                     np.nextafter(hi, lo), hi])
     cases = [
         rng.uniform(lo, hi, 3 * rows + 17),                     # several chunks
-        # windows clipped at the lower and the upper grid end
-        np.array([lo, np.nextafter(lo, hi), lo + grid.step, hi - grid.step,
-                  np.nextafter(hi, lo), hi]),
+        ends,
+        # a partial last chunk that holds both clipped ends
+        np.concatenate([rng.uniform(lo, hi, rows + 5), ends]),
         rng.uniform(0.0, 1.0, (7, 5)),                          # 2-D x
         np.array([]),
     ]
@@ -345,6 +356,19 @@ def test_values_bitwise_equal_index_array_window(eps, base_order, order):
     shifted = f.shift_order(1 if base_order < 2 else -1)
     x = cases[0][:50]
     _assert_same_bits(shifted.values(x), _reference_values(shifted, x))
+
+
+def test_values_repeated_queries_keep_no_state():
+    # a multi-chunk band query, a one-point query, then the first again
+    eps = 0.2
+    mol = build_mollifier(moments=2)
+    grid = Grid1D.from_bounds(-2.0, 3.0, int(round(5.0 / (eps / 8))) + 1)
+    f = EmbeddedField1D(sample_brownian_1d(grid, seed=6), mol, eps, base_order=1)
+    rows = mollify._CHUNK_ENTRIES // f._width
+    xs = np.random.default_rng(8).uniform(f.domain.lo, f.domain.hi, 2 * rows + 9)
+    one = np.array([0.5 * (f.domain.lo + f.domain.hi)])
+    for x, order in ((xs, 0), (one, 1), (xs, 0), (xs, 1)):
+        _assert_same_bits(f.values(x, order), _reference_values(f, x, order))
 
 
 def test_values_from_strided_path_values():

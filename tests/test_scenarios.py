@@ -569,6 +569,18 @@ def test_run_without_checks_fails(tmp_path):
     assert verdicts.strip().endswith("overall: FAIL")
 
 
+def test_geometric_two_jobs_write_the_same_csvs(geometric_report, tmp_path):
+    # the ladder levels run on two threads that share one Mollifier
+    threaded = run_geometric_wave(GeometricSpec(master_seed=MASTER_SEED), jobs=2)
+    write_report(geometric_report, str(tmp_path / "one"))
+    write_report(threaded, str(tmp_path / "two"))
+    names = sorted(p.name for p in (tmp_path / "one").glob("*.csv"))
+    assert names == sorted(p.name for p in (tmp_path / "two").glob("*.csv"))
+    for name in names:
+        assert ((tmp_path / "one" / name).read_bytes()
+                == (tmp_path / "two" / name).read_bytes()), name
+
+
 def test_geometric_closed_forms(geometric_report):
     errs = {row[0]: row[1] for row in geometric_report.tables[0].rows}
     assert errs["flat"] <= 1e-8
