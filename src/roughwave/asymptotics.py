@@ -32,11 +32,12 @@ __all__ = [
 # level/SUP_REFINE so the grid resolves the smoothing scale.
 SUP_REFINE = 8.0
 
-# Certification margin for integer negligibility orders and the residual
-# gate below which a fitted law is accepted.
+# Certification margin for integer negligibility orders, the highest
+# order certified, and the residual gate below which a fitted law is
+# accepted.
 SLOPE_MARGIN = 0.05
+B_MAX = 8
 RESIDUAL_GATE = 0.1
-DEFAULT_B_MAX = 8
 
 
 def _levels_of(ladder) -> np.ndarray:
@@ -130,18 +131,15 @@ def _sup_matrix(factory, window, order, eps, seeds) -> np.ndarray:
 
 
 def measure_series(factory, window: Interval, order: int, p: float,
-                   ladder, n_samples: int = 1000, seed0: int = 0) -> EpsSeries:
+                   ladder, n_samples: int = 1000) -> EpsSeries:
     """Measure sup_window |d^order u_level| along the ladder.
 
-    factory(level, seed) builds one realization.  p = 0 is pathwise: the
-    seed is held fixed so the series follows a single sample path.  For
-    p >= 1 the L^p(Omega) norm of the sup is estimated over n_samples
-    seeds; p = inf records the empirical maximum (a lower bound).
+    factory(level, seed) builds one realization.  p = 0 is pathwise: seed
+    0 is held fixed so the series follows a single sample path.  For
+    p >= 1 the L^p(Omega) norm of the sup is estimated over seeds 0 to
+    n_samples - 1; p = inf records the empirical maximum (a lower bound).
     """
-    if p == 0.0:
-        seeds = [seed0]
-    else:
-        seeds = [seed0 + i for i in range(n_samples)]
+    seeds = [0] if p == 0.0 else list(range(n_samples))
     eps = _levels_of(ladder)
     out = np.empty(eps.size)
     for k, level in enumerate(eps):
@@ -179,7 +177,7 @@ def _rel_residual(y: np.ndarray, y_hat: np.ndarray) -> float:
     return float(np.sqrt(np.mean((y - y_hat) ** 2)))
 
 
-def classify(series: EpsSeries, b_max: int = DEFAULT_B_MAX) -> Classification:
+def classify(series: EpsSeries) -> Classification:
     """Fit the measurements against the growth taxonomy.
 
     Candidate laws: power growth in 1/level (moderate), decay certified
@@ -204,7 +202,7 @@ def classify(series: EpsSeries, b_max: int = DEFAULT_B_MAX) -> Classification:
     local = np.diff(y) / np.diff(big_l)
     tail = local[local.size // 2 :]
     b_cert = 0
-    for b in range(1, b_max + 1):
+    for b in range(1, B_MAX + 1):
         if np.max(tail) <= -b + SLOPE_MARGIN:
             b_cert = b
     if b_cert >= 1:
@@ -310,14 +308,14 @@ class SlidingSpikeFamily:
         ks = np.arange(k0, k0 + count)
         return 1.0 / (math.asin(omega) + 2.0 * np.pi * ks)
 
-    def pathwise_series(self, omega: float, count: int, k0: int = 1) -> EpsSeries:
+    def pathwise_series(self, omega: float, count: int) -> EpsSeries:
         """Exact values along the planted subsequence, u = e^(1/level).
 
         Closed form rather than the indicator: for deep levels the
         window is narrower than the rounding of sin(1/level), so the
         float indicator would miss hits the construction guarantees.
         """
-        eps = self.blowup_levels(omega, count, k0)
+        eps = self.blowup_levels(omega, count)
         if 1.0 / eps[-1] > 700.0:
             raise ParameterError(
                 f"planted level {eps[-1]:.3g} overflows e^(1/level)"

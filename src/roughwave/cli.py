@@ -231,8 +231,12 @@ def main(argv=None) -> int:
         return 2
 
     outdir = args.output_dir or f"{run_config.scenario}-report"
-    os.makedirs(outdir, exist_ok=True)
-    shutil.copyfile(args.config, os.path.join(outdir, "config.yaml"))
+    try:
+        os.makedirs(outdir, exist_ok=True)
+        shutil.copyfile(args.config, os.path.join(outdir, "config.yaml"))
+    except OSError as exc:
+        print(f"error: cannot write the report directory: {exc}", file=sys.stderr)
+        return 2
 
     _, runner = SCENARIOS[run_config.scenario]
     try:

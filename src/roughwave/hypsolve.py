@@ -535,28 +535,28 @@ def wave_to_system(
 # ------------------------------------------------------- special solvers
 
 
-def transport_t_only(data: Field1D, speed_of_t: Field1D, t: float):
-    """Solution of u_t + c(t) u_x = 0: the datum shifted by the c-integral.
+def transport_t_only(data: Field1D, path: Field1D, t: float):
+    """Solution of u_t + c(t) u_x = 0 with c = path': the shifted datum.
 
-    The shift is computed with the speed field's own integral method, so
-    an embedded-derivative speed contributes its antiderivative
-    difference exactly, with no quadrature error.  Returns (field, shift).
+    The shift is path(t) - path(0), so a smoothed path gives the exact
+    integral of its smoothed derivative, with no quadrature error.
+    Returns (field, shift).
     """
-    shift = float(speed_of_t.integral(0.0, t))
+    p0, pt = path.values(np.array([0.0, t]))
+    shift = float(pt - p0)
     return ShiftedField1D(data, shift), shift
 
 
-def gronwall_check(
-    sol: SolutionField,
-    problem: HyperbolicProblem,
-    n_probe: int = 257,
-):
+GRONWALL_PROBES = 257
+
+
+def gronwall_check(sol: SolutionField, problem: HyperbolicProblem):
     """A-priori bound audit on a computed solution.
 
     Checks sup_x |U(t)| <= (sup |U(0)| + int_0^t |g|) * exp(int_0^t |F|)
     with |F|(t) = max_i sum_j sup_x |F_ij(., t)| and |g|(t) = max_i
-    sup_x |g_i(., t)|, all sups over the trusted interval at that time.
-    Returns (lhs_curve, rhs_curve, ok).
+    sup_x |g_i(., t)|, all sups over GRONWALL_PROBES points of the trusted
+    interval at that time.  Returns (lhs_curve, rhs_curve, ok).
     """
     tn = sol.t_nodes
     lhs = np.empty(len(tn))
@@ -564,7 +564,7 @@ def gronwall_check(
     g_norm = np.empty(len(tn))
     for idx, t in enumerate(tn):
         iv = sol.trust.interval_at(t) if t != 0.0 else sol.trust.base
-        xs = np.linspace(iv.lo, iv.hi, n_probe)
+        xs = np.linspace(iv.lo, iv.hi, GRONWALL_PROBES)
         lhs[idx] = max(
             float(np.max(np.abs(sol.values(i, xs, np.full_like(xs, t)))))
             for i in range(sol.size)

@@ -445,15 +445,3 @@ class EmbeddedField1D(Field1D):
             out[lo : lo + max_chunk] = v.sum(axis=1) * g.step
             del v
         return out.reshape(x.shape)
-
-    def shift_order(self, delta: int) -> "EmbeddedField1D":
-        """Same smoothing, different base derivative order."""
-        return EmbeddedField1D(self.process, self.mol, self.scale, self.base_order + delta)
-
-    def integral(self, a: float, b: float) -> float:
-        if self.base_order >= 1:
-            anti = self.shift_order(-1)
-            va, vb = anti.values(np.array([a, b]))
-            return float(vb - va)
-        return super().integral(a, b)
-

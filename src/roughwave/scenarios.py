@@ -312,15 +312,18 @@ def cone_overlap_area(p: tuple, q: tuple) -> float:
 # smoothing-kernel quadrature helpers
 
 
-def kernel_cumulative(mol: Mollifier, eps: float,
-                      n_per_scale: int = 256) -> tuple:
+_CUMULATIVE_PER_SCALE = 256  # kernel_cumulative's nodes per kernel scale
+_PAIR_NODES = 257  # pair_quadrature's Simpson nodes per axis
+
+
+def kernel_cumulative(mol: Mollifier, eps: float) -> tuple:
     """Tabulate z -> integral of the scaled kernel over (-inf, z].
 
     Returns (nodes, cumulative) covering the kernel support; outside it the
     cumulative is 0 on the left and the kernel mass on the right.
     """
     r = mol.support_radius(eps)
-    n = 2 * int(math.ceil(r / eps * n_per_scale)) + 1
+    n = 2 * int(math.ceil(r / eps * _CUMULATIVE_PER_SCALE)) + 1
     zs = np.linspace(-r, r, n)
     k = mol.kernel_values(zs, eps, 0)
     return zs, running_trapezoid(k, zs[1] - zs[0])
@@ -333,19 +336,18 @@ def pinned_pair_covariance(s: np.ndarray, sp: np.ndarray) -> np.ndarray:
     return np.where(same, np.minimum(np.abs(s), np.abs(sp)), 0.0)
 
 
-def pair_quadrature(a: float, b: float, mol: Mollifier, eps: float,
-                    n: int = 257) -> float:
+def pair_quadrature(a: float, b: float, mol: Mollifier, eps: float) -> float:
     """Tensor-Simpson value of the smoothed pair moment at times (a, b).
 
     Integrates kernel(a - s) kernel(b - s') against the pinned covariance
-    over the support rectangle.  Node count is per axis.
+    over the support rectangle.
     """
     r = mol.support_radius(eps)
-    sa = np.linspace(a - r, a + r, n)
-    sb = np.linspace(b - r, b + r, n)
+    sa = np.linspace(a - r, a + r, _PAIR_NODES)
+    sb = np.linspace(b - r, b + r, _PAIR_NODES)
     ka = mol.kernel_values(a - sa, eps, 0)
     kb = mol.kernel_values(b - sb, eps, 0)
-    w = simpson_weights(n)
+    w = simpson_weights(_PAIR_NODES)
     psi = pinned_pair_covariance(sa[:, None], sb[None, :])
     hs_a = sa[1] - sa[0]
     hs_b = sb[1] - sb[0]
@@ -454,13 +456,11 @@ def run_calibration(spec: CalibrationSpec, jobs: int = 1) -> ScenarioReport:
     t_start = time.time()
     base = Interval(-spec.kappa, spec.kappa)
 
-    # exact transport of a sine along a constant drift, analytic route
+    # exact transport of a sine along a constant drift, whose path is c t
     c = spec.transport_speed
     tt = spec.transport_time
-    u0 = AnalyticField1D([np.sin, np.cos], antiderivative=lambda x: -np.cos(x))
-    drift = AnalyticField1D([lambda t: np.full_like(np.asarray(t, float), c)],
-                            antiderivative=lambda t: c * np.asarray(t, float))
-    shifted, shift = transport_t_only(u0, drift, tt)
+    u0 = AnalyticField1D([np.sin, np.cos])
+    shifted, shift = transport_t_only(u0, AnalyticField1D([lambda t: c * t]), tt)
     probe_x = np.linspace(-1.5, 1.5, 9)
     analytic_err = float(np.abs(shifted.values(probe_x)
                                 - np.sin(probe_x - c * tt)).max())
@@ -617,8 +617,7 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
         path = sample_brownian_1d(path_grid, subseed(spec.master_seed,
                                                      "rough-path", i))
         w_eps = EmbeddedField1D(path, mol, eps)
-        w_dot = EmbeddedField1D(path, mol, eps, base_order=1)
-        shifted, shift = transport_t_only(u0_eps, w_dot, spec.eval_time)
+        shifted, shift = transport_t_only(u0_eps, w_eps, spec.eval_time)
         w_end = float(w_eps.values(np.array([spec.eval_time]))[0])
         w_zero = float(w_eps.values(np.array([0.0]))[0])
         shift_gap = abs(shift - (w_end - w_zero))

@@ -9,7 +9,7 @@ plane; the embedded fields produced by :mod:`roughwave.mollify` plug
 into the same interface.
 
 `simpson_weights` is the composite Simpson rule that the fixed-lattice
-quadratures here and in `hypsolve` and `scenarios` share;
+quadratures in `hypsolve` and `scenarios` share;
 `running_trapezoid` is the running trapezoid integral that
 `characteristics`, `hypsolve` and `scenarios` share.
 """
@@ -82,15 +82,6 @@ class Field1D:
                 f"[{self.domain.lo}, {self.domain.hi}]"
             )
 
-    def integral(self, a: float, b: float) -> float:
-        """Definite integral; dense Simpson fallback."""
-        if a == b:
-            return 0.0
-        step = self.scale / 8.0 if self.scale else abs(b - a) / 256.0
-        n = max(4, 2 * int(np.ceil(abs(b - a) / (2.0 * step))))
-        ys = self.values(np.linspace(a, b, n + 1))
-        return float((b - a) / n / 3.0 * (simpson_weights(n + 1) @ ys))
-
 
 def simpson_weights(n: int) -> np.ndarray:
     """Composite Simpson weights 1, 4, 2, ..., 4, 1 on n equispaced nodes.
@@ -126,21 +117,18 @@ class AnalyticField1D(Field1D):
     """Closed-form field: one callable per derivative order.
 
     fns[k] evaluates the k-th derivative.  Orders beyond the supplied
-    list raise.  An optional antiderivative callable makes definite
-    integrals exact.
+    list raise.
     """
 
     def __init__(
         self,
         fns: Sequence[Callable[[np.ndarray], np.ndarray]],
         domain: Interval = FULL_LINE,
-        antiderivative: Callable[[np.ndarray], np.ndarray] | None = None,
     ):
         if not fns:
             raise ParameterError("need at least the order-0 callable")
         self._fns = list(fns)
         self.domain = domain
-        self._antideriv = antiderivative
 
     def values(self, x, order: int = 0) -> np.ndarray:
         if not 0 <= order < len(self._fns):
@@ -151,17 +139,9 @@ class AnalyticField1D(Field1D):
         self.check_domain(x)
         return _owned(self._fns[order](x), x.shape, x)
 
-    def integral(self, a: float, b: float) -> float:
-        if self._antideriv is not None:
-            return float(self._antideriv(b) - self._antideriv(a))
-        return super().integral(a, b)
-
 
 def constant_field_1d(c: float) -> AnalyticField1D:
-    return AnalyticField1D(
-        [lambda x: np.full_like(x, c), lambda x: np.zeros_like(x)],
-        antiderivative=lambda x: c * x,
-    )
+    return AnalyticField1D([lambda x: np.full_like(x, c), lambda x: np.zeros_like(x)])
 
 
 class ShiftedField1D(Field1D):
@@ -176,9 +156,6 @@ class ShiftedField1D(Field1D):
     def values(self, x, order: int = 0) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         return self._parent.values(x - self.shift, order)
-
-    def integral(self, a: float, b: float) -> float:
-        return self._parent.integral(a - self.shift, b - self.shift)
 
 
 class Field2D:

@@ -295,6 +295,22 @@ def test_cli_bad_jobs(capsys, tmp_path):
     assert main([cfg, "--jobs", "0"]) == 2
 
 
+@pytest.mark.parametrize("target", ["taken", "taken/sub"])
+def test_cli_unwritable_output_dir_is_usage_error(capsys, tmp_path, target):
+    # a file where the report directory, or one of its parents, would go
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": "calibration", "master_seed": 1})
+    (tmp_path / "taken").write_text("keep")
+    assert main([cfg, "--output-dir", str(tmp_path / target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+    assert (tmp_path / "taken").read_text() == "keep"
+    assert sorted(os.listdir(tmp_path)) == ["c.yaml", "taken"]
+
+
 def test_cli_ogawa_run_writes_report(capsys, tmp_path):
     cfg = write_config(tmp_path / "run.yaml",
                        {"scenario": "ogawa", "master_seed": MASTER_SEED,

@@ -32,6 +32,7 @@ from roughwave.smooth import (
     FromX,
     Interval,
     constant_field_1d,
+    running_trapezoid,
 )
 
 SIN = AnalyticField1D([np.sin, np.cos])
@@ -293,26 +294,28 @@ def test_wave_invertibility_guard():
 
 
 def test_transport_t_only_closed_form():
-    speed = AnalyticField1D([np.cos], antiderivative=np.sin)
-    moved, shift = transport_t_only(SIN, speed, t=0.7)
+    # path sin, so the speed is cos
+    moved, shift = transport_t_only(SIN, AnalyticField1D([np.sin, np.cos]), t=0.7)
     assert shift == pytest.approx(np.sin(0.7), abs=1e-12)
     xs = np.linspace(-1.0, 1.0, 11)
     assert np.allclose(moved.values(xs), np.sin(xs - shift), atol=1e-12)
 
 
 def test_transport_t_only_embedded_shift_is_exact():
-    # embedded-derivative speed: the shift must equal the antiderivative
-    # sibling's increment bit for bit
+    # smoothed path: the shift must equal its increment bit for bit, and
+    # match the integral of the smoothed derivative, the speed
     eps = 0.05
     grid = Grid1D.from_bounds(-2.0, 2.0, int(round(4.0 / (eps / 8))) + 1)
     w = sample_brownian_1d(grid, seed=31)
     mol = build_mollifier(moments=2)
-    speed = EmbeddedField1D(w, mol, eps, base_order=1)
-    sibling = EmbeddedField1D(w, mol, eps)
-    moved, shift = transport_t_only(SIN, speed, t=0.6)
-    want = sibling.values(np.array([0.6]))[0] - sibling.values(np.array([0.0]))[0]
+    path = EmbeddedField1D(w, mol, eps)
+    moved, shift = transport_t_only(SIN, path, t=0.6)
+    want = path.values(np.array([0.6]))[0] - path.values(np.array([0.0]))[0]
     assert abs(shift - want) <= 1e-12
     assert np.allclose(moved.values(np.array([0.3])), np.sin(0.3 - shift), atol=1e-12)
+    ts = np.linspace(0.0, 0.6, 4801)
+    speed = EmbeddedField1D(w, mol, eps, base_order=1).values(ts)
+    assert abs(running_trapezoid(speed, ts[1] - ts[0])[-1] - shift) <= 1e-7
 
 
 def graph_speed_fields(t_independent=True):
