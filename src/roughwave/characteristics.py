@@ -203,13 +203,30 @@ class ArclengthChart:
     arclength L(x) = integral of sqrt(1 + c'(x)^2) and inverts it.
     Both L and its inverse are piecewise linear on the same breakpoints,
     so inversion by interpolation is exact up to roundoff.
+
+    The breakpoints are `np.linspace(dom.lo, dom.hi, n_nodes)` on the
+    curve's domain.  A `window` keeps only the contiguous stretch of them
+    from the last node at or below `window.lo` to the first node at or
+    above `window.hi`, so the curve is smoothed only where queries land:
+    the feet at times |t| <= T of points in [a, b] lie in [a - T, b + T].
+    The kept nodes and slopes are those of the full chart; L starts from
+    0 at the first kept node, an offset that `gamma` cancels.
     """
 
-    def __init__(self, curve: Field1D, n_nodes: int = 4097):
+    def __init__(self, curve: Field1D, n_nodes: int = 4097,
+                 window: Interval | None = None):
         if n_nodes < 3:
             raise ParameterError("need at least three arclength nodes")
         dom = curve.domain
         xs = np.linspace(dom.lo, dom.hi, n_nodes)
+        if window is not None:
+            lo = max(int(np.searchsorted(xs, window.lo, side="right")) - 1, 0)
+            hi = int(np.searchsorted(xs, window.hi, side="left"))
+            xs = xs[lo : hi + 1]
+            if xs.size < 3:
+                raise ParameterError(
+                    f"window [{window.lo}, {window.hi}] keeps {xs.size} of the "
+                    f"chart's nodes on [{dom.lo}, {dom.hi}]; need at least three")
         slopes = curve.values(xs, order=1)
         weight = np.sqrt(1.0 + slopes**2)
         self.xs = xs

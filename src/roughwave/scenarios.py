@@ -611,6 +611,7 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
     u0_eps = EmbeddedField1D(u0_proc, mol, eps)
 
     probes = np.asarray(spec.probes, float)
+    path_times = np.array([0.0, spec.eval_time, *spec.check_times], float)
     n = spec.n_samples
 
     def one_sample(i: int):
@@ -618,11 +619,11 @@ def run_ogawa(spec: OgawaSpec, jobs: int = 1) -> ScenarioReport:
                                                      "rough-path", i))
         w_eps = EmbeddedField1D(path, mol, eps)
         shifted, shift = transport_t_only(u0_eps, w_eps, spec.eval_time)
-        w_end = float(w_eps.values(np.array([spec.eval_time]))[0])
-        w_zero = float(w_eps.values(np.array([0.0]))[0])
+        # one query for the path at 0, the transport time and the check
+        # times; each point's value does not depend on the others
+        w_zero, w_end, *w_checks = w_eps.values(path_times).tolist()
         shift_gap = abs(shift - (w_end - w_zero))
-        disp = [float(w_eps.values(np.array([t]))[0]) - w_zero
-                for t in spec.check_times]
+        disp = [w - w_zero for w in w_checks]
         return shift_gap, disp, shifted.values(probes)
 
     # shapes (n,), (n, n_times) and (n, n_probes)
@@ -789,8 +790,12 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
     for k, p in enumerate(points):
         tabs[k] = cone_average_tab(mol, p, spec.eps, ys, ss, spec.quad_nodes)
     spot_point = tuple(map(float, spec.cauchy_point))
-    tabs[-1] = cone_average_tab(mol, spot_point, spot_lo, ys, ss,
-                                spec.quad_nodes)
+    if spot_lo == spec.eps and spot_point in points:
+        # the same point, scale and slab give the same tab
+        tabs[-1] = tabs[points.index(spot_point)]
+    else:
+        tabs[-1] = cone_average_tab(mol, spot_point, spot_lo, ys, ss,
+                                    spec.quad_nodes)
     tabs[-1] -= cone_average_tab(mol, spot_point, spot_hi, ys, ss,
                                  spec.quad_nodes)
 
@@ -886,6 +891,10 @@ class GeometricSpec:
     Closed-form families gate the chart machinery exactly; the C1 family
     tracks chart convergence under smoothing; the rough family tracks the
     forward characteristic's drift from identity and the solution ladder.
+
+    `sine_chart_nodes` sets the c1-sine charts' lattice on the whole curve
+    domain; like the Brownian charts, they keep and smooth only its nodes
+    within `eval_time` of a probe, where every foot they are asked for lies.
     """
 
     master_seed: int
@@ -933,9 +942,10 @@ def _strided_process(path: SampledProcess, eps: float) -> SampledProcess:
                           path.source + f"[::{stride}]")
 
 
-def _chart_for(curve, eps: float, floor: int = 4097) -> ArclengthChart:
+def _chart_for(curve, eps: float, window: Interval,
+               floor: int = 4097) -> ArclengthChart:
     n_nodes = max(floor, int(math.ceil(curve.domain.width / (eps / 8.0))) + 1)
-    return ArclengthChart(curve, n_nodes=n_nodes)
+    return ArclengthChart(curve, n_nodes=n_nodes, window=window)
 
 
 def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
@@ -943,6 +953,8 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
     mol = build_mollifier()
     T = spec.eval_time
     probes = np.asarray(spec.probes, float)
+    # every foot read below lies within T of a probe (L has slope >= 1)
+    reach = Interval(float(probes.min()) - T, float(probes.max()) + T)
     u0 = AnalyticField1D([np.cos, lambda x: -np.sin(x)])
     u1 = AnalyticField1D([np.cos])
     checks = []
@@ -981,12 +993,14 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
         ref_curve = AnalyticField1D([lambda x: amp * np.sin(x),
                                      lambda x: amp * np.cos(x)],
                                     domain=Interval(-hw, hw))
-        ref_chart = ArclengthChart(ref_curve, n_nodes=spec.sine_chart_nodes)
+        ref_chart = ArclengthChart(ref_curve, n_nodes=spec.sine_chart_nodes,
+                                   window=reach)
         g_ref = ref_chart.gamma(probes, T, +1)
 
         def sine_level(eps: float) -> float:
             emb = EmbeddedField1D(tab, mol, float(eps))
-            chart = ArclengthChart(emb, n_nodes=spec.sine_chart_nodes)
+            chart = ArclengthChart(emb, n_nodes=spec.sine_chart_nodes,
+                                   window=reach)
             return float(np.abs(chart.gamma(probes, T, +1) - g_ref).max())
 
         gaps = _pool_map(sine_level, levels, jobs)
@@ -1007,7 +1021,7 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
         def brown_level(eps: float):
             e = float(eps)
             emb = EmbeddedField1D(_strided_process(path, e), mol, e)
-            chart = _chart_for(emb, e)
+            chart = _chart_for(emb, e, reach)
             gam = chart.gamma(probes, T, +1)
             uvals = geometric_wave_solve(chart, u0, None, probes, T)
             slopes = emb.values(

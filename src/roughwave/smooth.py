@@ -35,8 +35,16 @@ class Interval:
             raise ParameterError(f"empty interval [{self.lo}, {self.hi}]")
 
     def contains(self, x, tol: float = 1e-9) -> bool:
-        x = np.asarray(x)
-        return bool(np.all(x >= self.lo - tol) and np.all(x <= self.hi + tol))
+        """Whether every entry lies within tol of the interval.
+
+        An empty query is contained and a NaN never is.  The array's own
+        min and max skip the Python wrappers of np.all.
+        """
+        if not isinstance(x, np.ndarray):
+            x = np.asarray(x)
+        if x.size == 0:
+            return True
+        return bool(x.min() >= self.lo - tol and x.max() <= self.hi + tol)
 
     def intersect(self, other: "Interval") -> "Interval":
         return Interval(max(self.lo, other.lo), min(self.hi, other.hi))

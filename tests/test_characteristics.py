@@ -202,15 +202,16 @@ def test_arclength_round_trip_and_monotone():
     assert np.all(np.diff(chart.lengths) > 0.0)
 
 
-def test_arclength_speed_bound_invariant():
-    # feet move at most distance t, measured along x
-    eps = 0.05
+def brownian_curve(eps=0.05):
     step = eps / 8
     grid = Grid1D.from_bounds(-4.0, 4.0, int(round(8.0 / step)) + 1)
-    w = sample_brownian_1d(grid, seed=21)
-    mol = build_mollifier(moments=2)
-    curve = EmbeddedField1D(w, mol, eps)
-    chart = ArclengthChart(curve)
+    return EmbeddedField1D(sample_brownian_1d(grid, seed=21),
+                           build_mollifier(moments=2), eps)
+
+
+def test_arclength_speed_bound_invariant():
+    # feet move at most distance t, measured along x
+    chart = ArclengthChart(brownian_curve())
     xs = np.linspace(-1.0, 1.0, 101)
     t = 0.4
     for sign in (+1, -1):
@@ -225,6 +226,67 @@ def test_arclength_escape_guard():
         chart.gamma(np.array([2.9]), 0.5, -1)
     with pytest.raises(DomainEscapeError):
         chart.length(np.array([3.5]))
+
+
+def test_arclength_window_keeps_a_slice_of_the_full_lattice():
+    curve = brownian_curve()
+    full = ArclengthChart(curve, n_nodes=2049)
+    chart = ArclengthChart(curve, n_nodes=2049, window=Interval(-1.5, 1.5))
+    lo = np.flatnonzero(full.xs <= -1.5)[-1]
+    hi = np.flatnonzero(full.xs >= 1.5)[0]
+    assert np.array_equal(chart.xs, full.xs[lo : hi + 1])
+    # the running sum starts at the first kept node: lengths differ by a
+    # constant up to rounding
+    assert np.allclose(chart.lengths, full.lengths[lo : hi + 1] - full.lengths[lo],
+                       rtol=0.0, atol=1e-13)
+
+
+def test_arclength_window_covering_the_domain_changes_nothing():
+    curve = brownian_curve()
+    full = ArclengthChart(curve, n_nodes=2049)
+    dom = curve.domain
+    for window in (dom, Interval(dom.lo - 1.0, dom.hi + 1.0)):
+        chart = ArclengthChart(curve, n_nodes=2049, window=window)
+        assert np.array_equal(chart.xs, full.xs)
+        assert np.array_equal(chart.lengths, full.lengths)
+
+
+def test_arclength_window_feet_match_the_full_chart():
+    curve = brownian_curve()
+    probes = np.array([-1.0, -0.5, 0.0, 0.5, 1.0])
+    t = 0.5
+    full = ArclengthChart(curve, n_nodes=4097)
+    chart = ArclengthChart(curve, n_nodes=4097,
+                           window=Interval(probes.min() - t, probes.max() + t))
+    assert chart.xs.size < full.xs.size // 2
+    # only the running sum's offset differs, so the feet agree to a few
+    # rounding units of the full chart's length (19.8 here, 3.6e-15 each)
+    tol = 8 * np.spacing(full.lengths[-1])
+    for sign in (+1, -1):
+        assert np.abs(chart.gamma(probes, t, sign)
+                      - full.gamma(probes, t, sign)).max() <= tol
+
+
+@pytest.mark.parametrize("window", [Interval(0.0, 1e-3), Interval(5.0, 6.0),
+                                    Interval(-9.0, -3.0)])
+def test_arclength_window_with_fewer_than_three_nodes_is_refused(window):
+    # 0.0 is a node of the 7-node lattice on [-3, 3], so [0, 1e-3] keeps
+    # two; the others lie beyond the ends and keep one
+    with pytest.raises(ParameterError, match="need at least three"):
+        ArclengthChart(flat_curve(), n_nodes=7, window=window)
+
+
+def test_arclength_window_queries_outside_the_kept_stretch_escape():
+    # the 7-node lattice on [-3, 3] has the window's ends as nodes
+    chart = ArclengthChart(flat_curve(), n_nodes=7, window=Interval(-1.0, 1.0))
+    assert chart.xs.tolist() == [-1.0, 0.0, 1.0]
+    assert chart.length(np.array([-1.0, 1.0])).tolist() == [0.0, 2.0]
+    with pytest.raises(DomainEscapeError):
+        chart.length(np.array([1.01]))
+    with pytest.raises(DomainEscapeError):
+        chart.gamma(np.array([0.8]), 0.5, -1)
+    with pytest.raises(DomainEscapeError):
+        chart.position(np.array([-0.01]))
 
 
 def test_trapezoid_contains_vectorized():

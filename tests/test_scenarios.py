@@ -415,6 +415,41 @@ SMALL_ADDITIVE = AdditiveNoiseSpec(master_seed=MASTER_SEED, n_samples=20,
                                    cauchy_ladder=EpsLadder(0.16, 0.5, 3))
 
 
+@pytest.mark.parametrize("spec, tabs", [
+    (SMALL_ADDITIVE, 5 + 1 + 3),
+    (AdditiveNoiseSpec(master_seed=MASTER_SEED, n_samples=20, eps=0.04,
+                       cauchy_ladder=EpsLadder(0.16, 0.5, 4)), 5 + 2 + 4),
+], ids=["finer-spot-tab-is-a-point-tab", "finer-spot-tab-of-its-own"])
+def test_spot_reference_matches_its_tabs_computed_directly(monkeypatch, spec,
+                                                           tabs):
+    # the spot pair's finer tab is the first point's own tab when both are
+    # at eps (so it is made once), and its own otherwise; either way the
+    # reference is that of both tabs computed directly on the sample slab
+    calls = []
+    inner = scenarios.cone_average_tab
+
+    def counting(*args):
+        calls.append(None)
+        return inner(*args)
+
+    monkeypatch.setattr(scenarios, "cone_average_tab", counting)
+    rep = run_additive_noise_wave(spec)
+    assert len(calls) == tabs
+    levels = spec.cauchy_ladder.levels()
+    spot_hi, spot_lo = float(levels[-2]), float(levels[-1])
+    h = spec.cell_factor * spec.eps
+    grid = _slab_grid(min(x - t for x, t in spec.points),
+                      max(x + t for x, t in spec.points),
+                      max(t for _, t in spec.points),
+                      MOL.support_radius(max(spec.eps, spot_hi)) + 2.0 * h, h)
+    ys, ss = _centers(grid)
+    diff = (inner(MOL, spec.cauchy_point, spot_lo, ys, ss, spec.quad_nodes)
+            - inner(MOL, spec.cauchy_point, spot_hi, ys, ss, spec.quad_nodes))
+    want = 0.25 * float((diff * diff).sum()) * grid.cell_measure
+    spot = next(t for t in rep.tables if t.name == "cauchy_spot")
+    assert spot.rows[0][3] == want
+
+
 def test_nan_z_score_fails_its_check(monkeypatch):
     # one sample's first point value is NaN, so that point's z-score is
     # NaN; the fold over points must keep it rather than read it as 0

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from roughwave.errors import ParameterError
-from roughwave.smooth import AnalyticField1D, AnalyticField2D, FromX, simpson_weights
+from roughwave.smooth import (AnalyticField1D, AnalyticField2D, FromX, Interval,
+                             simpson_weights)
 
 
 def test_simpson_weights_pattern_and_guard():
@@ -64,3 +65,15 @@ def test_values_keep_a_fresh_result_of_the_query_shape():
     assert f.values(x, x) is made[-1]
     np.testing.assert_array_equal(f.values(x, x, dx=1), np.full(5, 2.0))
     assert f.values(x, x, dt=1).flags.writeable
+
+
+def test_interval_contains_keeps_its_edge_answers():
+    iv = Interval(-1.0, 1.0)
+    assert iv.contains(np.array([]))
+    assert not iv.contains(np.array([0.0, np.nan]))
+    assert not iv.contains(np.nan)
+    assert iv.contains(np.array([-1.0 - 1e-9, 1.0 + 1e-9]))
+    assert not iv.contains(np.array([0.0, 1.0 + 2e-9]))
+    assert not iv.contains(-1.0 - 2e-9)
+    assert iv.contains([[0.5], [-0.5]]) and iv.contains(0.25)
+    assert iv.contains(np.array([2.0]), tol=1.0)
