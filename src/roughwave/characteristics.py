@@ -8,7 +8,7 @@ between them is evidence, not tautology.
 
 `determinacy_domain` builds the shrinking trapezoid on which a solution
 of a hyperbolic problem with speed bound `c_max` is determined by data
-on the base interval.  `ArclengthChart` handles the unit-speed
+on the base interval; the speed must not vary in t.  `ArclengthChart` handles the unit-speed
 parametrization of a graph curve, used when the characteristic flow is
 prescribed through arclength rather than through an ODE.
 """
@@ -168,22 +168,21 @@ def determinacy_domain(
 ) -> DeterminacyTrapezoid:
     """Trapezoid from a sampled speed bound.
 
-    The bound is sup |c| over a lattice on base x [-horizon, horizon],
-    inflated by `safety`.  A `t_independent` speed gives identical rows,
-    so it is sampled on one row only; the sup, and the bound, are the
-    same floats.  Raises EmptyDomainError up front if the trapezoid
-    collapses before the requested horizon.
+    The speed must not vary in t (`t_independent`); ParameterError for
+    one that does.  So one time row of `samples` points on the base gives
+    the sup of |c| over base x [-horizon, horizon], and the bound is that
+    sup inflated by `safety`.  Raises EmptyDomainError up front if the
+    trapezoid collapses before the requested horizon.
     """
     if horizon <= 0.0:
         raise ParameterError("horizon must be positive")
+    if not speed.t_independent:
+        raise ParameterError(
+            "speeds that vary in t are not supported: the determinacy bound "
+            "and the solver's feet assume a t-independent speed")
     xs = np.linspace(base.lo, base.hi, samples)
-    t_lo = max(-horizon, speed.domain.t.lo)
-    t_hi = min(horizon, speed.domain.t.hi)
-    rows = 1 if speed.t_independent else min(samples, 129)
-    ts = np.linspace(t_lo, t_hi, rows)
-    sup = 0.0
-    for t in ts:
-        sup = max(sup, float(np.max(np.abs(speed.values(xs, np.full_like(xs, t))))))
+    t = max(-horizon, speed.domain.t.lo)
+    sup = float(np.max(np.abs(speed.values(xs, np.full_like(xs, t)))))
     bound = safety * sup
     if bound == 0.0:
         bound = 1e-30  # zero speed: region never shrinks

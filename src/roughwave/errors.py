@@ -33,10 +33,6 @@ class EmptyDomainError(RoughwaveError, ValueError):
     """Requested domain of determinacy is empty (kappa <= c*T)."""
 
 
-class InvertibilityError(RoughwaveError, ValueError):
-    """A coefficient that must stay away from zero dropped below the floor."""
-
-
 class IterationLimitError(RoughwaveError, RuntimeError):
     """Fixed-point iteration exhausted max_iter without reaching tolerance."""
 

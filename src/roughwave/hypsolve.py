@@ -14,19 +14,18 @@ interpolated, so repeated sweeps do not compound interpolation error;
 only the right-hand side reads the previous iterate through linear
 interpolation in x.
 
-Characteristic feet come from one backward flow table per component,
-built by one-level RK4 backsteps
-(:func:`roughwave.characteristics.flow_levels`): for every depth m, a
-block whose column l is the foot on level l for anchor level l + m.  A
-time-independent speed gives every anchor the same feet, so its blocks
-are single columns; a time-dependent speed fills the whole triangle,
-which is quadratically bigger and guarded by GENERAL_PATH_BYTE_CAP.
-Either way one sweep serves both, vectorized over anchor levels at
-fixed feet depth.  Data, coupling and forcing values at the feet are
-computed once, before the first sweep, block by block: a row's fields
-and its datum read one feet block before any reads the next, so the wave
-reduction's two couplings and datum per row share one evaluation of the
-speed and its derivatives.
+No speed may vary in t (each must be `t_independent`): `solve_system`
+refuses one that does, through `determinacy_domain`.  Couplings and
+forcing may vary in t.  Characteristic feet come from one backward flow
+table per component, built by one-level RK4 backsteps
+(:func:`roughwave.characteristics.flow_levels`): for every depth m, one
+(nx, 1) column of feet that every anchor level shares, since a speed
+constant in t gives every anchor the same feet.  One sweep is vectorized
+over anchor levels at fixed feet depth.  Data, coupling and forcing
+values at the feet are computed once, before the first sweep, block by
+block: a row's fields and its datum read one feet block before any reads
+the next, so the wave reduction's two couplings and datum per row share
+one evaluation of the speed and its derivative.
 
 `halving_error_estimate` takes the caller's dt solve and runs only the
 dt/2 solve, refusing a coarse solve that is not on its lattice.
@@ -44,13 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .characteristics import determinacy_domain, flow_levels
-from .errors import (
-    DomainError,
-    InvertibilityError,
-    IterationLimitError,
-    ParameterError,
-    ShapeMismatchError,
-)
+from .errors import DomainError, IterationLimitError, ParameterError, ShapeMismatchError
 from .grids import Grid1D
 from .smooth import (
     AnalyticField1D,
@@ -66,7 +59,6 @@ from .smooth import (
     simpson_weights,
 )
 
-GENERAL_PATH_BYTE_CAP = 2 * 10**8
 AUDIT_FACTOR = 10.0
 ROUGH_STEP_FRACTION = 1.0 / 16.0  # RK4 substep, of the speed's intrinsic scale
 
@@ -75,8 +67,10 @@ ROUGH_STEP_FRACTION = 1.0 / 16.0  # RK4 substep, of the speed's intrinsic scale
 class HyperbolicProblem:
     """Speeds, coupling matrix, forcing and level-zero data, all as fields.
 
-    coupling[i][j] and forcing[i] may be None for an identically zero
-    entry; the solver skips the work those entries would cost.
+    The speeds must not vary in t (each `t_independent`); the coupling
+    and forcing entries may.  coupling[i][j] and forcing[i] may be None
+    for an identically zero entry; the solver skips the work those
+    entries would cost.
     """
 
     speeds: list
@@ -166,22 +160,17 @@ def _substeps(speed: Field2D, dt: float) -> int:
 def _feet_blocks(speed: Field2D, xs: np.ndarray, t_nodes: np.ndarray, base: Interval):
     """Backward characteristic feet of one component, one block per depth.
 
-    Block m has shape (nx, K+1-m): column l holds the foot on level l of
-    the characteristic through the nodes on anchor level l + m.  A
-    time-independent speed gives every anchor the same feet, so each of
-    its blocks is one (nx, 1) column that broadcasts over anchors.  Block
-    m+1 is block m without its level-0 column (shared feet keep their
-    one column), stepped back one level by RK4, each column over its own
-    time span, and clamped to the base interval.
+    Block m is one (nx, 1) column: the feet on level l of the
+    characteristics through the nodes on level l + m, the same for every
+    l because the speed does not vary in t, so it broadcasts over anchor
+    levels.  Block m+1 is block m stepped back one level by RK4 and
+    clamped to the base interval.
     """
-    K = len(t_nodes) - 1
     nsub = _substeps(speed, t_nodes[1] - t_nodes[0])
-    shared = speed.t_independent
-    blk = np.broadcast_to(xs[:, None], (len(xs), 1 if shared else K + 1))
+    blk = xs[:, None]
     blocks = [blk]
-    for m in range(K):
-        w = 1 if shared else K - m
-        stepped = flow_levels(speed, blk[:, -w:], t_nodes[1 : w + 1], t_nodes[:w], nsub)[-1]
+    for _ in range(len(t_nodes) - 1):
+        stepped = flow_levels(speed, blk, t_nodes[1:2], t_nodes[:1], nsub)[-1]
         blk = np.clip(stepped, base.lo, base.hi)
         blocks.append(blk)
     return blocks
@@ -190,15 +179,16 @@ def _feet_blocks(speed: Field2D, xs: np.ndarray, t_nodes: np.ndarray, base: Inte
 def _along_feet(fields: list, datum: Field1D, feet: list, t_nodes: np.ndarray):
     """One row's fields on every depth's feet, and its datum at their level-0 feet.
 
-    Returns (data, out): column m of data is the datum on block m's
-    column 0 (the level-0 feet of anchor level m), and out[k][m] is
-    fields[k] on block m.  A time-independent field keeps the shape of
-    the feet block (one column on shared feet); a field that varies in t
-    gets (nx, K+1-m) values at times t_0 .. t_{K-m}, the levels of the
-    block's columns.  The loop is block-major: all fields query block m,
-    at the same points, and then the datum, before anything queries
-    block m + 1.  So fields and a datum built on shared values (the wave
-    reduction's couplings and u1 -+ lam u0') evaluate those once per block.
+    Returns (data, out): column m of data is the datum on block m (the
+    level-0 feet of anchor level m), and out[k][m] is fields[k] on block
+    m.  The feet assume a speed that does not vary in t; the fields may.
+    A time-independent field keeps the (nx, 1) shape of the feet block; a
+    field that varies in t gets (nx, K+1-m) values at times t_0 ..
+    t_{K-m}, the levels that block m feeds.  The loop is block-major: all
+    fields query block m, at the same points, and then the datum, before
+    anything queries block m + 1.  So fields and a datum built on shared
+    values (the wave reduction's couplings and u1 -+ lam u0') evaluate
+    those once per block.
     """
     varies = [not fld.t_independent for fld in fields]
     out = [[] for _ in fields]
@@ -222,19 +212,16 @@ def _clip_eval_1d(f: Field1D, xs: np.ndarray) -> np.ndarray:
     return f.values(xc)
 
 
-def _interp_gather(xs: np.ndarray, pts: np.ndarray, L: int):
-    """Gather indices and weights for linear interpolation in x at pts.
+def _interp_gather(xs: np.ndarray, pts: np.ndarray):
+    """Row indices and weights for linear interpolation in x at one feet column.
 
-    Shared feet (one column) gather whole rows, U[idx, :L], which is about
-    twice as fast as a gather per entry; per-anchor feet gather entry
-    (idx, l) for column l.
+    Every anchor level shares the column, so the sweep gathers whole
+    rows, U[idx, :L].
     """
     dx = xs[1] - xs[0]
     idx = np.clip(((pts - xs[0]) / dx).astype(int), 0, len(xs) - 2)
     fr = np.clip((pts - xs[idx]) / dx, 0.0, 1.0)
-    if pts.shape[1] == 1:
-        return idx[:, 0], slice(L), fr
-    return idx, np.arange(L), fr
+    return idx[:, 0], fr
 
 
 class _PicardSweep:
@@ -256,9 +243,7 @@ class _PicardSweep:
         self.force = []
         for i in range(n):
             feet = _feet_blocks(problem.speeds[i], xs, t_nodes, base)
-            self.gather.append(
-                [_interp_gather(xs, f, K + 1 - m) for m, f in enumerate(feet)]
-            )
+            self.gather.append([_interp_gather(xs, f) for f in feet])
             live = [j for j in range(n) if not is_zero_field(problem.coupling[i][j])]
             g = problem.forcing[i]
             row = [problem.coupling[i][j] for j in live]
@@ -277,11 +262,11 @@ class _PicardSweep:
             if self.coup[i] or self.force[i] is not None:
                 for m in range(K + 1):
                     L = K + 1 - m
-                    rows, cols, fr = self.gather[i][m]
+                    rows, fr = self.gather[i][m]
                     rhs = None
                     for j, fv in self.coup[i]:
                         Uj = U[j]
-                        V = Uj[rows, cols] * (1.0 - fr) + Uj[rows + 1, cols] * fr
+                        V = Uj[rows, :L] * (1.0 - fr) + Uj[rows + 1, :L] * fr
                         term = fv[m] * V
                         rhs = term if rhs is None else rhs + term
                     if self.force[i] is not None:
@@ -314,6 +299,7 @@ def solve_system(
     update gap on the trusted nodes to fall below tol; one extra sweep
     after convergence must stay below AUDIT_FACTOR * tol, which guards
     against a lucky small step masquerading as a fixed point.
+    ParameterError for a speed that varies in t, before any feet work.
     """
     if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
         raise ParameterError(
@@ -344,21 +330,6 @@ def solve_system(
 
     n = problem.size
     K = n_levels
-    # A component with a time-dependent speed stores triangles of (K+1)^2/2
-    # x nx entries: feet, gather indices, gather weights and one value
-    # block per nonzero coupling or forcing entry.
-    triangles = sum(
-        3 + sum(not is_zero_field(f) for f in (*problem.coupling[i], problem.forcing[i]))
-        for i, s in enumerate(problem.speeds)
-        if not s.t_independent
-    )
-    bytes_needed = triangles * (K + 1) ** 2 // 2 * nx * 8
-    if bytes_needed > GENERAL_PATH_BYTE_CAP:
-        raise ParameterError(
-            "time-dependent speeds need per-anchor feet and coefficient "
-            f"triangles (~{bytes_needed / 1e9:.2f} GB here); coarsen dt or "
-            "use time-independent speeds"
-        )
     sweep = _PicardSweep(problem, xs, t_nodes, base, dt_eff)
     trust_mask = np.stack(
         [trust.contains(xs, t_nodes[k]) for k in range(K + 1)], axis=1
@@ -408,21 +379,10 @@ def solve_system(
 # ------------------------------------------------------------------ wave
 
 
-INVERTIBILITY_FLOOR = 1e-6
-
-
 def wave_to_system(
-    speed: Field2D,
-    u0: Field1D,
-    u0_slope: Field1D,
-    u1: Field1D,
-    drift: Field2D | None = None,
-    damping: Field2D | None = None,
-    potential: Field2D | None = None,
-    forcing: Field2D | None = None,
-    check_interval: Interval | None = None,
+    speed: Field2D, u0: Field1D, u0_slope: Field1D, u1: Field1D
 ) -> HyperbolicProblem:
-    """Reduce u_tt = lam^2 u_xx + drift u_x + damping u_t + potential u + forcing.
+    """Reduce u_tt = lam^2 u_xx to a first-order system.
 
     State is (v, w, u) with v = u_t - lam u_x and w = u_t + lam u_x;
     v rides speed +lam, w rides -lam, and u, component 2, integrates
@@ -430,88 +390,53 @@ def wave_to_system(
     x-derivative of u0 (passed separately so embedded data can supply it
     exactly), and u1 is the initial velocity.
 
-    lam must stay away from zero: the reduction divides by it.
+    lam must stay away from zero, since the reduction divides by it, and
+    must not vary in t: `solve_system` refuses a speed that does.
     """
     lam = speed
-    if check_interval is not None:
-        probe = np.linspace(check_interval.lo, check_interval.hi, 513)
-        lam_probe = lam.values(probe, np.zeros_like(probe))
-        if np.min(np.abs(lam_probe)) < INVERTIBILITY_FLOOR:
-            raise InvertibilityError(
-                f"wave speed reaches {np.min(np.abs(lam_probe)):.3g}, below the "
-                f"reduction floor {INVERTIBILITY_FLOOR}"
-            )
-
-    # constant speed and no first-order terms: the v/w block vanishes
-    plain = (
-        isinstance(lam, ConstantField2D)
-        and drift is None
-        and damping is None
-    )
-
-    coef_static = lam.t_independent and all(
-        f is None or f.t_independent for f in (drift, damping)
-    )
-    coef_dom = lam.domain
-    for f in (drift, damping):
-        if f is not None:
-            coef_dom = coef_dom.intersect(f.domain)
 
     # The two couplings of a row query the same points in turn, and the
     # row's datum then reads lam on their level-0 column (the solver
     # evaluates a row block by block), so the inputs of the latest query
-    # are kept, as one (x, t, values) entry, and served to the next query
-    # at equal points.
+    # are kept, as one (x, values) entry, and served to the next query
+    # at equal points.  lam does not vary in t, so x alone is the key.
     latest = None
 
     def inputs(x, t):
-        # drift, lam_t, lam_x, lam and half the damping at (x, t)
+        # lam_x and lam at (x, t)
         nonlocal latest
         hit = latest
-        if hit is not None and np.array_equal(hit[0], x) and np.array_equal(hit[1], t):
-            return hit[2]
-        vals = (
-            drift.values(x, t) if drift is not None else 0.0,
-            lam.values(x, t, dt=1),
-            lam.values(x, t, dx=1),
-            lam.values(x, t),
-            0.5 * damping.values(x, t) if damping is not None else 0.0,
-        )
-        latest = (np.array(x), np.array(t), vals)
+        if hit is not None and np.array_equal(hit[0], x):
+            return hit[1]
+        vals = (lam.values(x, t, dx=1), lam.values(x, t))
+        latest = (np.array(x), vals)
         return vals
 
-    def coupling(sign: float, side: float):
-        # sign -1 gives A = (drift - lam_t - lam lam_x) / (2 lam), +1 gives
-        # B; the row's diagonal entry takes -A (or -B), the other +A (+B)
+    def coupling(side: float):
+        # A = -lam lam_x / (2 lam); each row takes -A on v and +A on w
         def fn(x, t):
-            a, lt, lx, lv, hd = inputs(x, t)
-            return side * ((a + sign * lt - lv * lx) / (2.0 * lv)) + hd
+            lx, lv = inputs(x, t)
+            return side * ((0.0 - lv * lx) / (2.0 * lv))
 
-        return AnalyticField2D({(0, 0): fn}, domain=coef_dom, t_independent=coef_static)
+        return AnalyticField2D({(0, 0): fn}, domain=lam.domain, t_independent=True)
 
-    if plain:
-        f_vv = f_vw = f_wv = f_ww = None
+    if isinstance(lam, ConstantField2D):
+        # constant speed: the v/w block vanishes
+        minus_a = plus_a = None
     else:
-        f_vv = coupling(-1.0, -1.0)
-        f_vw = coupling(-1.0, +1.0)
-        f_wv = coupling(+1.0, -1.0)
-        f_ww = coupling(+1.0, +1.0)
+        minus_a, plus_a = coupling(-1.0), coupling(+1.0)
 
     half = ConstantField2D(0.5)
     neg_speed = TransformedField2D(lambda v: -v, lam)
     zero_speed = ConstantField2D(0.0)
 
-    pot = potential if not is_zero_field(potential) else None
-
     data_dom = u1.domain.intersect(u0_slope.domain).intersect(lam.domain.x)
 
     def lam_at_rest(x):
-        # lam(x, 0); column 0 of a feet block holds level-0 feet at t = 0
+        # lam at the level-0 feet of a block, which the couplings last read
         hit = latest
-        if hit is not None and hit[0].ndim == 2 and hit[0].shape == hit[1].shape:
-            xk, tk, vals = hit
-            if np.array_equal(xk[:, 0], x) and not np.any(tk[:, 0]):
-                return vals[3][:, 0]
+        if hit is not None and np.array_equal(hit[0].reshape(-1), x):
+            return hit[1][1].reshape(-1)
         return lam.values(x, np.zeros_like(x))
 
     def char_datum(sign: float):
@@ -523,11 +448,11 @@ def wave_to_system(
     return HyperbolicProblem(
         speeds=[lam, neg_speed, zero_speed],
         coupling=[
-            [f_vv, f_vw, pot],
-            [f_wv, f_ww, pot],
+            [minus_a, plus_a, None],
+            [minus_a, plus_a, None],
             [half, half, None],
         ],
-        forcing=[forcing, forcing, None],
+        forcing=[None, None, None],
         data=[char_datum(-1.0), char_datum(+1.0), u0],
     )
 

@@ -27,7 +27,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtr
 
 from .asymptotics import norm_interchange
-from .characteristics import ArclengthChart
+from .characteristics import ArclengthChart, determinacy_domain
 from .errors import EmptyDomainError, ParameterError
 from .fields import (SampledProcess, sample_brownian_1d, translation_transform,
                      white_noise_action, white_noise_field)
@@ -217,10 +217,14 @@ def _interchange(label: str, values: np.ndarray) -> tuple:
 
 
 def _mc_z(samples: np.ndarray, ref: float) -> tuple:
-    """Monte Carlo mean of samples, its standard error, and |z| against ref."""
+    """Monte Carlo mean of samples, its standard error, and |z| against ref.
+
+    z is NaN when the standard error is not positive (constant samples),
+    so a check on it fails rather than dividing by zero.
+    """
     est = float(samples.mean())
     se = float(samples.std(ddof=1)) / math.sqrt(samples.size)
-    return est, se, abs(est - ref) / se
+    return est, se, abs(est - ref) / se if se > 0.0 else math.nan
 
 
 def _trusted_gap(sol, exact: Callable = None, ref=None) -> float:
@@ -449,6 +453,11 @@ class CalibrationSpec:
     def __post_init__(self):
         _require_positive(self, "kappa", "horizon", "dt", "x_step",
                           "transport_time", "transport_tol", "wave_tol")
+        # the transport solve rides transport_speed, the waves speed 1
+        base = Interval(-self.kappa, self.kappa)
+        for speed, t in ((self.transport_speed, self.transport_time),
+                         (1.0, self.horizon)):
+            determinacy_domain(ConstantField2D(speed), base, t)
 
 
 def run_calibration(spec: CalibrationSpec, jobs: int = 1) -> ScenarioReport:
@@ -882,6 +891,7 @@ def run_additive_noise_wave(spec: AdditiveNoiseSpec,
 
 
 GEOMETRIC_CURVES = ("flat", "linear", "c1-sine", "brownian")
+_CLOSED_FORM_HALFWIDTH = 4.0  # the flat and linear curves live on [-4, 4]
 
 
 @dataclass(frozen=True)
@@ -924,6 +934,24 @@ class GeometricSpec:
             _require_levels(name, getattr(self, name),
                             "the decrease checks compare successive levels")
         _require_at_least(self, 3, " for an arclength chart", "sine_chart_nodes")
+        if not self.probes:
+            raise ParameterError("probes is empty: the checks would test no point")
+        # every foot lies within eval_time of a probe, so each selected
+        # curve must be defined on that reach: the closed forms on [-4, 4],
+        # a smoothed curve where the kernel window at its ladder's coarsest
+        # level stays on the path
+        lo = min(self.probes) - self.eval_time
+        hi = max(self.probes) + self.eval_time
+        r = build_mollifier().support_radius
+        half = {"flat": _CLOSED_FORM_HALFWIDTH, "linear": _CLOSED_FORM_HALFWIDTH,
+                "c1-sine": self.path_halfwidth - r(float(self.sine_ladder.levels()[0])),
+                "brownian": self.path_halfwidth
+                - r(float(self.brownian_ladder.levels()[0]))}
+        for c in self.curves:
+            if not (-half[c] <= lo and hi <= half[c]):
+                raise ParameterError(
+                    f"probes reach [{lo:.4f}, {hi:.4f}] within eval_time, outside "
+                    f"[{-half[c]:.4f}, {half[c]:.4f}] where the {c} curve is defined")
 
 
 def _strided_process(path: SampledProcess, eps: float) -> SampledProcess:
@@ -972,7 +1000,7 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
         chart = ArclengthChart(AnalyticField1D(
             [lambda x: a * np.asarray(x, float),
              lambda x: np.full_like(np.asarray(x, float), a)],
-            domain=Interval(-4.0, 4.0)))
+            domain=Interval(-_CLOSED_FORM_HALFWIDTH, _CLOSED_FORM_HALFWIDTH)))
         got = geometric_wave_solve(chart, u0, u1, probes, T)
         exact = (0.5 * (np.cos(probes - T / w) + np.cos(probes + T / w))
                  + 0.5 * w * (np.sin(probes + T / w) - np.sin(probes - T / w)))
@@ -1099,6 +1127,11 @@ class RandomSpeedSpec:
                 f"field_halfwidth {self.field_halfwidth} leaves the smoothed "
                 f"speed undefined on the base: needs >= kappa + "
                 f"{r:.4f} (kernel radius at the coarsest level)")
+        if round(self.horizon / (self.dt / 2.0)) != 2 * round(self.horizon / self.dt):
+            raise ParameterError(
+                f"dt {self.dt} puts horizon {self.horizon} on a lattice whose "
+                f"dt/2 refinement does not keep every second level: the "
+                f"halving error estimate compares the two")
         if self.kappa <= self.slope_bound * self.horizon:
             raise EmptyDomainError(
                 f"base half-width {self.kappa} with speed bound "

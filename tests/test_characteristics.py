@@ -20,7 +20,6 @@ from roughwave.smooth import (
     AnalyticField1D,
     AnalyticField2D,
     ConstantField2D,
-    FromX,
     Interval,
     Rect,
 )
@@ -141,26 +140,11 @@ def test_zero_speed_never_shrinks():
     assert iv.width == pytest.approx(2.0, rel=1e-9)
 
 
-def test_t_independent_speed_bound_matches_all_rows():
-    # a lifted smoothed path is sampled on one time row; the same field
-    # flagged time-dependent is sampled on 129, and the sup is the same float
-    grid = Grid1D.from_bounds(-4.0, 4.0, 1281)
-    w = sample_brownian_1d(grid, seed=7)
-    emb = EmbeddedField1D(w, build_mollifier(moments=2), 0.1)
-    lifted = FromX(emb)
-    rows = AnalyticField2D({(0, 0): lambda x, t: emb.values(x)}, t_independent=False)
-    base = Interval(-1.5, 1.5)
-    one = determinacy_domain(lifted, base, horizon=0.1)
-    many = determinacy_domain(rows, base, horizon=0.1)
-    assert one.speed_bound == many.speed_bound
-    assert one.speed_bound > 0.0
-
-
-def test_time_dependent_speed_bound_reaches_horizon():
-    # 1 + t peaks only at t = horizon, so sampling a single row misses it
+def test_determinacy_refuses_a_speed_that_varies_in_t():
+    # 1 + t peaks only at t = horizon, which one sampled row would miss
     c = AnalyticField2D({(0, 0): lambda x, t: 1.0 + t + 0.0 * x})
-    trap = determinacy_domain(c, Interval(-1.0, 1.0), horizon=0.4)
-    assert trap.speed_bound == 1.01 * (1.0 + 0.4)
+    with pytest.raises(ParameterError, match="vary in t"):
+        determinacy_domain(c, Interval(-1.0, 1.0), horizon=0.4)
 
 
 # ------------------------------------------------------------- arclength

@@ -247,6 +247,20 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
     ("ogawa", {"data_halfwidth": 7.0, "n_samples": 4}, "data_halfwidth 7.0 too small"),
     ("ogawa", {"eps": 0.1, "path_pad": 1.0, "n_samples": 4},
      "data_halfwidth 8.0 too small"),
+    ("geometric-wave", {"probes": []}, "probes is empty"),
+    # every foot lies within eval_time 0.5 of a probe: the flat and linear
+    # curves live on [-4, 4], the smoothed sine on +-(5 - 1.5512) and the
+    # smoothed Brownian path on +-(5 - 2.0)
+    ("geometric-wave", {"probes": [3.9], "curves": ["flat"]},
+     "where the flat curve is defined"),
+    ("geometric-wave", {"probes": [-3.6, 0.0], "curves": ["linear"]},
+     "where the linear curve is defined"),
+    ("geometric-wave", {"probes": [3.0], "curves": ["c1-sine"]},
+     "where the c1-sine curve is defined"),
+    ("geometric-wave", {"probes": [-2.6], "curves": ["flat", "brownian"]},
+     "where the brownian curve is defined"),
+    ("calibration", {"transport_time": 50}, "determinacy collapse time"),
+    ("random-speed-wave", {"dt": 0.3, "horizon": 0.5}, "dt/2 refinement"),
 ], ids=["speed-lo-negative", "empty-domain", "ogawa-eps-negative",
         "ogawa-no-check-times", "ogawa-one-sample", "calibration-dt-zero",
         "calibration-kappa-negative", "geometric-one-level-sine-ladder",
@@ -254,7 +268,10 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
         "ladder-fractional-count", "ladder-boolean-eps0", "ladder-string-ratio",
         "ladder-integer-scale-map",
         "ogawa-data-halfwidth-1", "ogawa-data-halfwidth-7",
-        "ogawa-coarse-eps-default-halfwidth"])
+        "ogawa-coarse-eps-default-halfwidth", "geometric-no-probes",
+        "geometric-flat-probe-past-4", "geometric-linear-probe-past-minus-4",
+        "geometric-sine-probe-past-path", "geometric-brownian-probe-past-path",
+        "calibration-transport-past-collapse", "random-speed-off-lattice-dt"])
 def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
                                                        scenario, overrides,
                                                        message):

@@ -6,7 +6,6 @@ import pytest
 from roughwave.characteristics import ArclengthChart
 from roughwave.errors import (
     DomainError,
-    InvertibilityError,
     IterationLimitError,
     ParameterError,
     ShapeMismatchError,
@@ -15,7 +14,6 @@ from roughwave import hypsolve
 from roughwave.fields import SampledProcess, sample_brownian_1d
 from roughwave.grids import Grid1D
 from roughwave.hypsolve import (
-    GENERAL_PATH_BYTE_CAP,
     HyperbolicProblem,
     geometric_wave_solve,
     gronwall_check,
@@ -88,45 +86,6 @@ def test_static_forcing_without_coupling():
     assert np.max(np.abs(got - (np.sin(xs - 0.4) + 1.0))) <= 1e-10
 
 
-def test_wave_with_static_forcing():
-    # u_tt = u_xx + 1, u0 = sin, u1 = 0: u = sin x cos t + t^2 / 2
-    prob = wave_to_system(
-        ConstantField2D(1.0),
-        SIN,
-        AnalyticField1D([np.cos]),
-        ZERO_1D,
-        forcing=ConstantField2D(1.0),
-    )
-    sol = solve_system(prob, Interval(-np.pi - 1.3, np.pi + 1.3), horizon=1.0, dt=0.01)
-    xs = sol.x_grid.nodes()
-    worst = 0.0
-    for k, t in enumerate(sol.t_nodes):
-        m = sol.trust.contains(xs, t)
-        want = np.sin(xs[m]) * np.cos(t) + 0.5 * t**2
-        worst = max(worst, float(np.max(np.abs(sol.tables[2][m, k] - want))))
-    assert worst <= 1e-4
-
-
-def test_wave_damping_and_potential_manufactured():
-    # u = cos t sin x solves u_tt = u_xx + 0.5 u_t - 0.3 u + g with
-    # g = 0.5 sin t sin x + 0.3 cos t sin x
-    g = AnalyticField2D({
-        (0, 0): lambda x, t: (0.5 * np.sin(t) + 0.3 * np.cos(t)) * np.sin(x)
-    })
-    prob = wave_to_system(
-        ConstantField2D(1.0),
-        SIN,
-        AnalyticField1D([np.cos]),
-        ZERO_1D,
-        damping=ConstantField2D(0.5),
-        potential=ConstantField2D(-0.3),
-        forcing=g,
-    )
-    sol = solve_system(prob, Interval(-np.pi - 1.3, np.pi + 1.3), horizon=0.5, dt=0.005)
-    xs, u = sol.on_level(2, 0.5)
-    assert np.max(np.abs(u - np.cos(0.5) * np.sin(xs))) <= 1e-4
-
-
 def test_exponential_ode_matches_discrete_fixed_point():
     # speed 0, u' = u, u(0) = 1: the trapezoid fixed point is
     # ((2 + dt) / (2 - dt))^k exactly, and e^t up to O(t dt^2)
@@ -173,33 +132,18 @@ def test_iteration_limit_raises():
         solve_system(prob, Interval(-1.0, 1.0), horizon=1.0, dt=0.05, max_iter=3)
 
 
-def test_time_dependent_speed_uses_triangle_path():
-    # u_t + (0.5 + 0.25 sin t) u_x = 0: shift = 0.5 t - 0.25 (cos t - 1)
+def test_solve_system_refuses_a_speed_that_varies_in_t(monkeypatch):
+    # u_t + (0.5 + 0.25 sin t) u_x = 0, alone and as the wave speed, is
+    # outside the problem class: refused before any feet are computed
     lam = AnalyticField2D({(0, 0): lambda x, t: 0.5 + 0.25 * np.sin(t) + 0.0 * x})
-    prob = single(lam)
-    sol = solve_system(prob, Interval(-3.0, 3.0), horizon=0.5, dt=0.01)
-    xs, got = sol.on_level(0, 0.5)
-    shift = 0.5 * 0.5 - 0.25 * (np.cos(0.5) - 1.0)
-    assert np.max(np.abs(got - np.sin(xs - shift))) <= 1e-7
 
+    def no_feet(*args):
+        raise AssertionError("feet computed for a refused speed")
 
-def test_triangle_path_memory_guard():
-    lam = AnalyticField2D({(0, 0): lambda x, t: 0.5 + 0.0 * x + 0.001 * t})
-    prob = single(lam)
-    with pytest.raises(ParameterError):
-        solve_system(prob, Interval(-3.0, 3.0), horizon=1.0, dt=1e-4, x_step=1e-3)
-
-
-def test_triangle_memory_guard_counts_coefficient_blocks():
-    # the feet alone fit under the cap; with their gather indices and
-    # weights and the coupling and forcing blocks of the same size they
-    # do not
-    lam = AnalyticField2D({(0, 0): lambda x, t: 0.5 + 0.0 * x + 0.001 * t})
-    prob = single(lam, coupling=ConstantField2D(-0.3), forcing=ConstantField2D(1.0))
-    K, nx = 1000, 25
-    assert (K + 1) ** 2 // 2 * nx * 8 <= GENERAL_PATH_BYTE_CAP
-    with pytest.raises(ParameterError, match="0.50 GB"):
-        solve_system(prob, Interval(-3.0, 3.0), horizon=1.0, dt=1e-3, x_step=0.25)
+    monkeypatch.setattr(hypsolve, "_feet_blocks", no_feet)
+    for prob in (single(lam), bump_wave(lam)):
+        with pytest.raises(ParameterError, match="vary in t"):
+            solve_system(prob, Interval(-3.0, 3.0), horizon=0.5, dt=0.01)
 
 
 @pytest.mark.parametrize("kw", [
@@ -272,27 +216,6 @@ def test_gronwall_bound_holds():
     assert rhs[-1] >= lhs[-1]
 
 
-def test_wave_invertibility_guard():
-    with pytest.raises(InvertibilityError):
-        wave_to_system(
-            speed=ConstantField2D(1e-9),
-            u0=SIN,
-            u0_slope=AnalyticField1D([np.cos]),
-            u1=ZERO_1D,
-            check_interval=Interval(-1.0, 1.0),
-        )
-    # zero crossing at a probe point is caught too
-    lam = AnalyticField2D({(0, 0): lambda x, t: x + 0.0 * t})
-    with pytest.raises(InvertibilityError):
-        wave_to_system(
-            speed=lam,
-            u0=SIN,
-            u0_slope=AnalyticField1D([np.cos]),
-            u1=ZERO_1D,
-            check_interval=Interval(-1.0, 1.0),
-        )
-
-
 def test_transport_t_only_closed_form():
     # path sin, so the speed is cos
     moved, shift = transport_t_only(SIN, AnalyticField1D([np.sin, np.cos]), t=0.7)
@@ -318,39 +241,33 @@ def test_transport_t_only_embedded_shift_is_exact():
     assert abs(running_trapezoid(speed, ts[1] - ts[0])[-1] - shift) <= 1e-7
 
 
-def graph_speed_fields(t_independent=True):
-    # curve y = 0.3 sin x; the wave along it has speed 1/sqrt(1 + c'^2)
-    # and geometric drift lam * lam_x
+def test_geometric_wave_dual_route():
+    # route 1: full system solve of the wave along the curve y = 0.3 sin x,
+    # u_tt = lam^2 u_xx + lam lam_x u_x with lam = 1 / sqrt(1 + c'^2).  Its
+    # drift lam lam_x cancels the reduction's coupling (drift - lam lam_x) /
+    # (2 lam) exactly, so v and w are pure transport at speeds +-lam and u
+    # integrates (v + w) / 2
+    # route 2: closed form through the arclength chart
     def lam(x, t):
         return 1.0 / np.sqrt(1.0 + 0.09 * np.cos(x) ** 2)
 
-    def lam_x(x, t):
-        q = 0.09 * np.cos(x) ** 2
-        return 0.09 * np.sin(2.0 * x) / (2.0 * (1.0 + q) ** 1.5)
+    def slope(x):
+        return -8.0 * x * np.exp(-4.0 * x**2)
 
-    speed = AnalyticField2D(
-        {(0, 0): lam, (1, 0): lam_x, (0, 1): lambda x, t: 0.0 * x},
-        t_independent=t_independent,
-    )
-    drift = AnalyticField2D(
-        {(0, 0): lambda x, t: lam(x, t) * lam_x(x, t)}, t_independent=t_independent
-    )
-    return speed, drift
+    def char_datum(sign):
+        return AnalyticField1D([lambda x: sign * lam(x, 0.0) * slope(x)])
 
-
-def test_geometric_wave_dual_route():
-    # route 1: full system solve of the reduced wave
-    # route 2: closed form through the arclength chart
-    speed, drift = graph_speed_fields()
-    u0 = AnalyticField1D(
-        [lambda x: np.exp(-4.0 * x**2), lambda x: -8.0 * x * np.exp(-4.0 * x**2)]
-    )
-    prob = wave_to_system(
-        speed=speed,
-        u0=u0,
-        u0_slope=AnalyticField1D([lambda x: -8.0 * x * np.exp(-4.0 * x**2)]),
-        u1=ZERO_1D,
-        drift=drift,
+    u0 = AnalyticField1D([lambda x: np.exp(-4.0 * x**2), slope])
+    half = ConstantField2D(0.5)
+    prob = HyperbolicProblem(
+        speeds=[
+            AnalyticField2D({(0, 0): lam}, t_independent=True),
+            AnalyticField2D({(0, 0): lambda x, t: -lam(x, t)}, t_independent=True),
+            ZERO_2D,
+        ],
+        coupling=[[None, None, None], [None, None, None], [half, half, None]],
+        forcing=[None, None, None],
+        data=[char_datum(-1.0), char_datum(+1.0), u0],
     )
     sol = solve_system(prob, Interval(-3.0, 3.0), horizon=0.4, dt=0.005)
     xs = np.linspace(-1.5, 1.5, 41)
@@ -363,23 +280,6 @@ def test_geometric_wave_dual_route():
     chart = ArclengthChart(curve)
     route2 = geometric_wave_solve(chart, u0, None, xs, 0.4)
     assert np.max(np.abs(route1 - route2)) <= 5e-4
-
-
-def test_time_dependent_path_matches_shared_feet():
-    # the same graph speed and drift, flagged time-dependent, take per-anchor
-    # feet and per-anchor coefficient values; with a t-dependent forcing on
-    # top, every component must agree with the shared-feet solve
-    forcing = AnalyticField2D({(0, 0): lambda x, t: np.sin(x) * np.cos(t)})
-    u0 = AnalyticField1D([lambda x: np.exp(-4.0 * x**2)])
-    slope = AnalyticField1D([lambda x: -8.0 * x * np.exp(-4.0 * x**2)])
-    sols = []
-    for flag in (True, False):
-        speed, drift = graph_speed_fields(t_independent=flag)
-        prob = wave_to_system(speed, u0, slope, ZERO_1D, drift=drift, forcing=forcing)
-        sols.append(solve_system(prob, Interval(-3.0, 3.0), horizon=0.4, dt=0.01))
-    shared, per_anchor = sols
-    for i in range(3):
-        assert np.max(np.abs(shared.tables[i] - per_anchor.tables[i])) <= 1e-12
 
 
 def test_geometric_wave_with_initial_velocity():
@@ -495,15 +395,11 @@ def test_wave_couplings_evaluate_the_speed_once_per_block(monkeypatch):
     assert max(per_block.values()) == 1
 
 
-def test_wave_datum_reads_a_time_dependent_speed_at_rest():
+def test_wave_datum_reads_the_speed_at_rest():
     # the characteristic data u1 -+ lam(x, 0) u0' take lam from the
-    # couplings' level-0 column; with a speed that varies in t the solve
-    # must equal one whose data evaluate lam afresh
-    lam = AnalyticField2D({
-        (0, 0): lambda x, t: 1.0 + 0.2 * np.sin(x) + 0.3 * t,
-        (1, 0): lambda x, t: 0.2 * np.cos(x) + 0.0 * t,
-        (0, 1): lambda x, t: 0.3 + 0.0 * x,
-    })
+    # couplings' query at the same feet; the solve must equal one whose
+    # data evaluate lam afresh
+    lam = FromX(smoothed_speed())
     prob = bump_wave(lam)
 
     def fresh(sign):
@@ -520,7 +416,8 @@ def test_wave_datum_reads_a_time_dependent_speed_at_rest():
     want = solve_system(plain, base, horizon=0.3, dt=0.02, x_step=0.05)
     for a, b in zip(got.tables, want.tables):
         np.testing.assert_array_equal(a, b)
-    # a coupling query at t != 0 on the same x leaves the datum at t = 0
+    # a coupling query at t != 0 serves the datum on the same x: lam does
+    # not vary in t
     xs = np.linspace(-1.0, 1.0, 5)[:, None]
     prob.coupling[0][0].values(xs, np.full_like(xs, 0.25))
     np.testing.assert_array_equal(prob.data[0].values(xs[:, 0]), fresh(-1.0).values(xs[:, 0]))

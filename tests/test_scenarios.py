@@ -549,6 +549,26 @@ def test_geometric_spec_rejects_meaningless_values(overrides, message):
         GeometricSpec(master_seed=1, **overrides)
 
 
+def test_geometric_spec_accepts_probes_reaching_the_curve_edges():
+    # every foot lies within eval_time 0.5 of a probe: 3.5 reaches the
+    # closed-form curves' edge at 4, where both still pass
+    rep = run_geometric_wave(GeometricSpec(master_seed=1, curves=("flat", "linear"),
+                                           probes=(-3.5, 3.5)))
+    assert rep.passed
+    # just inside 5 - 1.5512 and 5 - 2.0, the kernel radii at the coarsest
+    # sine and Brownian levels
+    GeometricSpec(master_seed=1, curves=("c1-sine",), probes=(-2.9487, 2.9487))
+    GeometricSpec(master_seed=1, curves=("brownian",), probes=(-2.4999, 2.4999))
+
+
+def test_mc_z_is_nan_on_constant_samples():
+    # a zero standard error leaves z undefined; the check on it fails
+    est, se, z = scenarios._mc_z(np.full(8, 0.25), 0.0)
+    assert (est, se) == (0.25, 0.0)
+    assert math.isnan(z)
+    assert not scenarios._worst_z("spot", [(z,)], 5.0, "").passed
+
+
 def test_norm_interchange_records_the_bound_it_applies(monkeypatch):
     # a sup of norms 5e-13 above the norm of sups is inside the check's
     # 1e-12 rounding allowance, so the recorded bound must admit it too
