@@ -1,4 +1,4 @@
-"""Characteristic curves of dx/dt = c(x, t) and their geometry.
+"""Characteristic curves of dx/dt = c(x) and their geometry.
 
 Two independent integration routes are kept deliberately separate: a
 vectorized fixed-step RK4 (`flow_levels`), which the solver's feet
@@ -7,8 +7,8 @@ tables march, and a global Picard iteration on a fixed time lattice
 between them is evidence, not tautology.
 
 `determinacy_domain` builds the shrinking trapezoid on which a solution
-of a hyperbolic problem with speed bound `c_max` is determined by data
-on the base interval; the speed must not vary in t.  `ArclengthChart` handles the unit-speed
+of a hyperbolic problem with speeds c_i(x) is determined by data on the
+base interval.  `ArclengthChart` handles the unit-speed
 parametrization of a graph curve, used when the characteristic flow is
 prescribed through arclength rather than through an ODE.
 """
@@ -25,55 +25,43 @@ from .errors import (
     IterationLimitError,
     ParameterError,
 )
-from .smooth import Field1D, Field2D, Interval, running_trapezoid
+from .smooth import Field1D, Interval, running_trapezoid
 
-def _clip_to_domain(speed: Field2D, x: np.ndarray, t: float):
-    dom = speed.domain
-    xc = np.clip(x, dom.x.lo, dom.x.hi)
-    tc = np.clip(t, dom.t.lo, dom.t.hi)
-    return xc, tc
+SPEED_SAMPLES = 512  # points of the base on which determinacy samples |c|
+SPEED_SAFETY = 1.01  # factor on the sampled sup of |c|
 
 
-def flow_levels(
-    speed: Field2D,
-    xs: np.ndarray,
-    t0: float | np.ndarray,
-    t1: float | np.ndarray,
-    n_steps: int,
-) -> np.ndarray:
-    """Positions at every RK4 level, shape (n_steps+1,) + xs.shape.
+def flow_levels(speed: Field1D, xs: np.ndarray, span: float, n_steps: int) -> np.ndarray:
+    """Positions at every RK4 level of dx/dt = c(x), shape (n_steps+1,) + xs.shape.
 
-    All walkers march together.  Stage points are clipped to the domain
-    so the field never sees out-of-range queries; a walker whose
-    unclipped update leaves the x-domain freezes at its last interior
-    position instead of raising, so callers that tabulate past the
-    determinacy region must quarantine those entries themselves.  t0
-    and t1 may be arrays that broadcast against xs, giving each column
-    its own time span.
+    All walkers march together over time `span`, backward when it is
+    negative.  Stage points are clipped to the domain so the field never
+    sees out-of-range queries; a walker whose unclipped update leaves the
+    domain freezes at its last interior position instead of raising, so
+    callers that tabulate past the determinacy region must quarantine
+    those entries themselves.
     """
     n = int(n_steps)
     if n < 1:
         raise ParameterError("n_steps must be >= 1")
-    h = (t1 - t0) / n
+    h = span / n
     dom = speed.domain
     xs = np.array(xs, dtype=float)
     alive = np.ones(xs.shape, dtype=bool)
     levels = np.empty((n + 1,) + xs.shape)
     levels[0] = xs
 
-    def f(x, t):
-        xc, tc = _clip_to_domain(speed, x, t)
-        return speed.values(xc, np.full_like(xc, tc))
+    def f(x):
+        return speed.values(np.clip(x, dom.lo, dom.hi))
 
     for k in range(n):
-        t = t0 + k * h
-        k1 = f(xs, t)
-        k2 = f(xs + 0.5 * h * k1, t + 0.5 * h)
-        k3 = f(xs + 0.5 * h * k2, t + 0.5 * h)
-        k4 = f(xs + h * k3, t + h)
+        k1 = f(xs)
+        k2 = f(xs + 0.5 * h * k1)
+        k3 = f(xs + 0.5 * h * k2)
+        k4 = f(xs + h * k3)
         step = xs + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
         nxt = np.where(alive, step, xs)
-        alive = alive & ~((nxt < dom.x.lo) | (nxt > dom.x.hi))
+        alive = alive & ~((nxt < dom.lo) | (nxt > dom.hi))
         xs = np.where(alive, nxt, xs)
         levels[k + 1] = xs
     return levels
@@ -86,7 +74,7 @@ class PicardResult:
 
 
 def picard_characteristic_oracle(
-    speed: Field2D,
+    speed: Field1D,
     x0: float,
     t0: float,
     t1: float,
@@ -94,7 +82,7 @@ def picard_characteristic_oracle(
     tol: float = 1e-12,
     max_iter: int = 400,
 ) -> PicardResult:
-    """Fixed-point route: x(t) = x0 + integral of c(x(s), s) ds.
+    """Fixed-point route: x(t) = x0 + integral of c(x(s)) ds.
 
     Trapezoid quadrature on a fixed time lattice, iterated from the
     constant path.  Independent of the RK4 marcher by construction.
@@ -107,8 +95,7 @@ def picard_characteristic_oracle(
     xs = np.full(n_nodes, float(x0))
     gaps = []
     for _ in range(max_iter):
-        xc = np.clip(xs, dom.x.lo, dom.x.hi)
-        rhs = speed.values(xc, ts)
+        rhs = speed.values(np.clip(xs, dom.lo, dom.hi))
         new = x0 + running_trapezoid(rhs, dts)
         gap = float(np.max(np.abs(new - xs)))
         gaps.append(gap)
@@ -120,8 +107,8 @@ def picard_characteristic_oracle(
             f"picard iteration did not reach {tol} in {max_iter} sweeps "
             f"(last update {gaps[-1]:.3g})"
         )
-    if np.any(xs < dom.x.lo) or np.any(xs > dom.x.hi):
-        bad = np.argmax((xs < dom.x.lo) | (xs > dom.x.hi))
+    if np.any(xs < dom.lo) or np.any(xs > dom.hi):
+        bad = np.argmax((xs < dom.lo) | (xs > dom.hi))
         raise DomainEscapeError(f"picard path left the domain near t={ts[bad]:.6g}")
     return PicardResult(xs=xs, gaps=np.array(gaps))
 
@@ -160,30 +147,23 @@ class DeterminacyTrapezoid:
 
 
 def determinacy_domain(
-    speed: Field2D,
-    base: Interval,
-    horizon: float,
-    samples: int = 512,
-    safety: float = 1.01,
+    speeds: list[Field1D], base: Interval, horizon: float
 ) -> DeterminacyTrapezoid:
-    """Trapezoid from a sampled speed bound.
+    """Trapezoid from a sampled bound on every speed.
 
-    The speed must not vary in t (`t_independent`); ParameterError for
-    one that does.  So one time row of `samples` points on the base gives
-    the sup of |c| over base x [-horizon, horizon], and the bound is that
-    sup inflated by `safety`.  Raises EmptyDomainError up front if the
-    trapezoid collapses before the requested horizon.
+    The bound is the sup of max_i |c_i| over SPEED_SAMPLES points of the
+    base, inflated by SPEED_SAFETY.  ParameterError for a horizon that
+    is not positive and finite or a sampled sup that is not finite.
+    Raises EmptyDomainError up front if the trapezoid collapses before
+    the requested horizon.
     """
-    if horizon <= 0.0:
-        raise ParameterError("horizon must be positive")
-    if not speed.t_independent:
-        raise ParameterError(
-            "speeds that vary in t are not supported: the determinacy bound "
-            "and the solver's feet assume a t-independent speed")
-    xs = np.linspace(base.lo, base.hi, samples)
-    t = max(-horizon, speed.domain.t.lo)
-    sup = float(np.max(np.abs(speed.values(xs, np.full_like(xs, t)))))
-    bound = safety * sup
+    if not 0.0 < horizon < np.inf:
+        raise ParameterError(f"horizon must be positive and finite, got {horizon}")
+    xs = np.linspace(base.lo, base.hi, SPEED_SAMPLES)
+    sup = float(np.max(np.maximum.reduce([np.abs(c.values(xs)) for c in speeds])))
+    if not np.isfinite(sup):
+        raise ParameterError(f"sampled speed bound {sup} is not finite")
+    bound = SPEED_SAFETY * sup
     if bound == 0.0:
         bound = 1e-30  # zero speed: region never shrinks
     trap = DeterminacyTrapezoid(base=base, speed_bound=bound)

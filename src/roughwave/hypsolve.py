@@ -2,7 +2,7 @@
 
 The problem class is
 
-    (d/dt + lambda_i(x,t) d/dx) u_i = sum_j F_ij(x,t) u_j + g_i(x,t),
+    (d/dt + lambda_i(x) d/dx) u_i = sum_j F_ij(x,t) u_j + g_i(x,t),
     u_i(x, 0) = data_i(x),
 
 solved by a global Picard iteration in integral form: every sweep
@@ -14,18 +14,17 @@ interpolated, so repeated sweeps do not compound interpolation error;
 only the right-hand side reads the previous iterate through linear
 interpolation in x.
 
-No speed may vary in t (each must be `t_independent`): `solve_system`
-refuses one that does, through `determinacy_domain`.  Couplings and
-forcing may vary in t.  Characteristic feet come from one backward flow
-table per component, built by one-level RK4 backsteps
-(:func:`roughwave.characteristics.flow_levels`): for every depth m, one
-(nx, 1) column of feet that every anchor level shares, since a speed
-constant in t gives every anchor the same feet.  One sweep is vectorized
-over anchor levels at fixed feet depth.  Data, coupling and forcing
-values at the feet are computed once, before the first sweep, block by
-block: a row's fields and its datum read one feet block before any reads
-the next, so the wave reduction's two couplings and datum per row share
-one evaluation of the speed and its derivative.
+Speeds and data are fields of x (`Field1D`); couplings and forcing are
+fields of (x, t) (`Field2D`) and may vary in t.  Characteristic feet come
+from one backward flow table per component, built by one-level RK4
+backsteps (:func:`roughwave.characteristics.flow_levels`): for every
+depth m, one (nx, 1) column of feet that every anchor level shares,
+since a speed of x alone gives every anchor the same feet.  One sweep is
+vectorized over anchor levels at fixed feet depth.  Data, coupling and
+forcing values at the feet are computed once, before the first sweep,
+block by block: a row's fields and its datum read one feet block before
+any reads the next, so the wave reduction's two couplings and datum per
+row share one evaluation of the speed and its derivative.
 
 `halving_error_estimate` takes the caller's dt solve and runs only the
 dt/2 solve, refusing a coarse solve that is not on its lattice.
@@ -46,14 +45,16 @@ from .characteristics import determinacy_domain, flow_levels
 from .errors import DomainError, IterationLimitError, ParameterError, ShapeMismatchError
 from .grids import Grid1D
 from .smooth import (
+    FULL_LINE,
     AnalyticField1D,
     AnalyticField2D,
+    ConstantField1D,
     ConstantField2D,
     Field1D,
     Field2D,
     Interval,
+    Rect,
     ShiftedField1D,
-    TransformedField2D,
     is_zero_field,
     running_trapezoid,
     simpson_weights,
@@ -67,10 +68,11 @@ ROUGH_STEP_FRACTION = 1.0 / 16.0  # RK4 substep, of the speed's intrinsic scale
 class HyperbolicProblem:
     """Speeds, coupling matrix, forcing and level-zero data, all as fields.
 
-    The speeds must not vary in t (each `t_independent`); the coupling
-    and forcing entries may.  coupling[i][j] and forcing[i] may be None
-    for an identically zero entry; the solver skips the work those
-    entries would cost.
+    Speeds and data are Field1D; coupling and forcing entries are Field2D
+    and may vary in t.  coupling[i][j] and forcing[i] may be None for an
+    identically zero entry; the solver skips the work those entries
+    would cost.  ParameterError for an entry of another type, a speed
+    first.
     """
 
     speeds: list
@@ -79,6 +81,8 @@ class HyperbolicProblem:
     data: list
 
     def __post_init__(self):
+        for i, c in enumerate(self.speeds):
+            _require_type(f"speeds[{i}]", c, Field1D)
         n = len(self.speeds)
         if n == 0:
             raise ParameterError("system needs at least one component")
@@ -88,17 +92,21 @@ class HyperbolicProblem:
             raise ShapeMismatchError(f"forcing must have {n} entries")
         if len(self.data) != n:
             raise ShapeMismatchError(f"data must have {n} entries")
+        for i in range(n):
+            for j, f in enumerate(self.coupling[i]):
+                _require_type(f"coupling[{i}][{j}]", f, Field2D, optional=True)
+            _require_type(f"forcing[{i}]", self.forcing[i], Field2D, optional=True)
+            _require_type(f"data[{i}]", self.data[i], Field1D)
 
     @property
     def size(self) -> int:
         return len(self.speeds)
 
-    def speed_bound_field(self) -> Field2D:
-        """Pointwise max of |lambda_i|, used to size determinacy regions."""
-        return TransformedField2D(
-            lambda *vals: np.maximum.reduce([np.abs(v) for v in vals]),
-            *self.speeds,
-        )
+
+def _require_type(name: str, f, kind: type, optional: bool = False):
+    if not (isinstance(f, kind) or (optional and f is None)):
+        allowed = kind.__name__ + (" or None" if optional else "")
+        raise ParameterError(f"{name} must be a {allowed}, got {type(f).__name__}")
 
 
 class SolutionField:
@@ -150,27 +158,28 @@ class SolutionField:
         return out
 
 
-def _substeps(speed: Field2D, dt: float) -> int:
+def _substeps(speed: Field1D, dt: float) -> int:
     scale = speed.scale
     if scale is None or not np.isfinite(scale):
         return 1
     return max(1, int(np.ceil(dt / (scale * ROUGH_STEP_FRACTION))))
 
 
-def _feet_blocks(speed: Field2D, xs: np.ndarray, t_nodes: np.ndarray, base: Interval):
+def _feet_blocks(speed: Field1D, xs: np.ndarray, t_nodes: np.ndarray, base: Interval):
     """Backward characteristic feet of one component, one block per depth.
 
     Block m is one (nx, 1) column: the feet on level l of the
     characteristics through the nodes on level l + m, the same for every
-    l because the speed does not vary in t, so it broadcasts over anchor
+    l because the speed is a field of x, so it broadcasts over anchor
     levels.  Block m+1 is block m stepped back one level by RK4 and
     clamped to the base interval.
     """
     nsub = _substeps(speed, t_nodes[1] - t_nodes[0])
+    back = t_nodes[0] - t_nodes[1]
     blk = xs[:, None]
     blocks = [blk]
     for _ in range(len(t_nodes) - 1):
-        stepped = flow_levels(speed, blk, t_nodes[1:2], t_nodes[:1], nsub)[-1]
+        stepped = flow_levels(speed, blk, back, nsub)[-1]
         blk = np.clip(stepped, base.lo, base.hi)
         blocks.append(blk)
     return blocks
@@ -181,7 +190,7 @@ def _along_feet(fields: list, datum: Field1D, feet: list, t_nodes: np.ndarray):
 
     Returns (data, out): column m of data is the datum on block m (the
     level-0 feet of anchor level m), and out[k][m] is fields[k] on block
-    m.  The feet assume a speed that does not vary in t; the fields may.
+    m.  The feet are those of a speed of x alone; the fields may vary in t.
     A time-independent field keeps the (nx, 1) shape of the feet block; a
     field that varies in t gets (nx, K+1-m) values at times t_0 ..
     t_{K-m}, the levels that block m feeds.  The loop is block-major: all
@@ -299,7 +308,6 @@ def solve_system(
     update gap on the trusted nodes to fall below tol; one extra sweep
     after convergence must stay below AUDIT_FACTOR * tol, which guards
     against a lucky small step masquerading as a fixed point.
-    ParameterError for a speed that varies in t, before any feet work.
     """
     if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
         raise ParameterError(
@@ -310,8 +318,7 @@ def solve_system(
     dt_eff = horizon / n_levels
     t_nodes = np.linspace(0.0, horizon, n_levels + 1)
 
-    bound_field = problem.speed_bound_field()
-    trust = determinacy_domain(bound_field, base, horizon)
+    trust = determinacy_domain(problem.speeds, base, horizon)
 
     if x_step is None:
         # finer than dt x speed buys nothing; 512 cells is plenty when the
@@ -379,8 +386,20 @@ def solve_system(
 # ------------------------------------------------------------------ wave
 
 
+class _Negated(Field1D):
+    """-f on f's domain, at f's smoothing scale (which sets its RK4 substeps)."""
+
+    def __init__(self, f: Field1D):
+        self._f = f
+        self.domain = f.domain
+        self.scale = f.scale
+
+    def values(self, x, order: int = 0) -> np.ndarray:
+        return -self._f.values(x, order)
+
+
 def wave_to_system(
-    speed: Field2D, u0: Field1D, u0_slope: Field1D, u1: Field1D
+    speed: Field1D, u0: Field1D, u0_slope: Field1D, u1: Field1D
 ) -> HyperbolicProblem:
     """Reduce u_tt = lam^2 u_xx to a first-order system.
 
@@ -390,54 +409,52 @@ def wave_to_system(
     x-derivative of u0 (passed separately so embedded data can supply it
     exactly), and u1 is the initial velocity.
 
-    lam must stay away from zero, since the reduction divides by it, and
-    must not vary in t: `solve_system` refuses a speed that does.
+    lam is a field of x (ParameterError for any other, before any work)
+    and must stay away from zero, since the reduction divides by it.
     """
+    _require_type("speed", speed, Field1D)
     lam = speed
 
     # The two couplings of a row query the same points in turn, and the
     # row's datum then reads lam on their level-0 column (the solver
     # evaluates a row block by block), so the inputs of the latest query
     # are kept, as one (x, values) entry, and served to the next query
-    # at equal points.  lam does not vary in t, so x alone is the key.
+    # at equal points.  lam is a field of x, so x alone is the key.
     latest = None
 
-    def inputs(x, t):
-        # lam_x and lam at (x, t)
+    def inputs(x):
+        # lam_x and lam at x
         nonlocal latest
         hit = latest
         if hit is not None and np.array_equal(hit[0], x):
             return hit[1]
-        vals = (lam.values(x, t, dx=1), lam.values(x, t))
+        vals = (lam.values(x, 1), lam.values(x))
         latest = (np.array(x), vals)
         return vals
 
     def coupling(side: float):
         # A = -lam lam_x / (2 lam); each row takes -A on v and +A on w
         def fn(x, t):
-            lx, lv = inputs(x, t)
+            lx, lv = inputs(x)
             return side * ((0.0 - lv * lx) / (2.0 * lv))
 
-        return AnalyticField2D({(0, 0): fn}, domain=lam.domain, t_independent=True)
+        return AnalyticField2D(fn, domain=Rect(lam.domain, FULL_LINE), t_independent=True)
 
-    if isinstance(lam, ConstantField2D):
+    if isinstance(lam, ConstantField1D):
         # constant speed: the v/w block vanishes
         minus_a = plus_a = None
     else:
         minus_a, plus_a = coupling(-1.0), coupling(+1.0)
 
     half = ConstantField2D(0.5)
-    neg_speed = TransformedField2D(lambda v: -v, lam)
-    zero_speed = ConstantField2D(0.0)
-
-    data_dom = u1.domain.intersect(u0_slope.domain).intersect(lam.domain.x)
+    data_dom = u1.domain.intersect(u0_slope.domain).intersect(lam.domain)
 
     def lam_at_rest(x):
         # lam at the level-0 feet of a block, which the couplings last read
         hit = latest
         if hit is not None and np.array_equal(hit[0].reshape(-1), x):
             return hit[1][1].reshape(-1)
-        return lam.values(x, np.zeros_like(x))
+        return lam.values(x)
 
     def char_datum(sign: float):
         def fn(x):
@@ -446,7 +463,7 @@ def wave_to_system(
         return AnalyticField1D([fn], domain=data_dom)
 
     return HyperbolicProblem(
-        speeds=[lam, neg_speed, zero_speed],
+        speeds=[lam, _Negated(lam), ConstantField1D(0.0)],
         coupling=[
             [minus_a, plus_a, None],
             [minus_a, plus_a, None],

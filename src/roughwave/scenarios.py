@@ -38,8 +38,8 @@ from .hypsolve import (HyperbolicProblem, geometric_wave_solve,
 from .mollify import (_CHUNK_ENTRIES, EmbeddedField1D, EpsLadder, Mollifier,
                       build_mollifier)
 from .seeding import rng_for, subseed
-from .smooth import (AnalyticField1D, ConstantField2D, FromX, Interval,
-                     constant_field_1d, running_trapezoid, simpson_weights)
+from .smooth import (AnalyticField1D, ConstantField1D, Interval,
+                     running_trapezoid, simpson_weights)
 
 __all__ = [
     "CheckResult", "Table", "ScenarioReport", "format_value", "write_report",
@@ -457,7 +457,7 @@ class CalibrationSpec:
         base = Interval(-self.kappa, self.kappa)
         for speed, t in ((self.transport_speed, self.transport_time),
                          (1.0, self.horizon)):
-            determinacy_domain(ConstantField2D(speed), base, t)
+            determinacy_domain([ConstantField1D(speed)], base, t)
 
 
 def run_calibration(spec: CalibrationSpec, jobs: int = 1) -> ScenarioReport:
@@ -477,7 +477,7 @@ def run_calibration(spec: CalibrationSpec, jobs: int = 1) -> ScenarioReport:
                        f"shift={shift:.6f}")]
 
     # same transport through the grid solver
-    prob = HyperbolicProblem(speeds=[ConstantField2D(c)], coupling=[[None]],
+    prob = HyperbolicProblem(speeds=[ConstantField1D(c)], coupling=[[None]],
                              forcing=[None], data=[u0])
     sol = solve_system(prob, base, tt, spec.dt, x_step=spec.x_step)
     xs, vals = sol.on_level(0, tt)
@@ -486,14 +486,14 @@ def run_calibration(spec: CalibrationSpec, jobs: int = 1) -> ScenarioReport:
 
     # constant-speed waves: displacement-only data, then velocity-only data
     # with u = (sin(x+t) - sin(x-t)) / 2
-    zero = constant_field_1d(0.0)
+    zero = ConstantField1D(0.0)
     for name, data, exact in (
             ("wave-displacement-data",
              (AnalyticField1D([np.sin, np.cos]), AnalyticField1D([np.cos]), zero),
              lambda x, t: 0.5 * (np.sin(x - t) + np.sin(x + t))),
             ("wave-velocity-data", (zero, zero, AnalyticField1D([np.cos])),
              lambda x, t: 0.5 * (np.sin(x + t) - np.sin(x - t)))):
-        sol = solve_system(wave_to_system(ConstantField2D(1.0), *data),
+        sol = solve_system(wave_to_system(ConstantField1D(1.0), *data),
                            base, spec.horizon, spec.dt, x_step=spec.x_step)
         checks.append(_bounded(name, _trusted_gap(sol, exact), spec.wave_tol))
 
@@ -1145,7 +1145,7 @@ def _bump_data():
                           * np.exp(-np.asarray(x, float) ** 2)])
     u0_slope = AnalyticField1D([lambda x: -2.0 * np.asarray(x, float)
                                 * np.exp(-np.asarray(x, float) ** 2)])
-    return u0, u0_slope, constant_field_1d(0.0)
+    return u0, u0_slope, ConstantField1D(0.0)
 
 
 def _speed_draw(spec: RandomSpeedSpec, index: int):
@@ -1183,7 +1183,7 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
         return spec.speed_lo + span * u
 
     # constant-speed member of the family against d'Alembert
-    sol_c = solve_system(wave_to_system(ConstantField2D(1.0), *_bump_data()),
+    sol_c = solve_system(wave_to_system(ConstantField1D(1.0), *_bump_data()),
                          base, spec.horizon, spec.dt / 2.0,
                          x_step=spec.x_step / 2.0)
     err_c = _trusted_gap(sol_c, lambda x, t: 0.5 * (
@@ -1206,7 +1206,7 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
                 * deriv(x)
 
         ref_curve = AnalyticField1D([lam, lam_d], domain=Interval(-hw, hw))
-        prob_ref = wave_to_system(FromX(ref_curve), u0, u0_slope, u1)
+        prob_ref = wave_to_system(ref_curve, u0, u0_slope, u1)
         sol_ref = solve_system(prob_ref, base, spec.horizon, spec.dt,
                                x_step=spec.x_step)
         xs = sol_ref.x_grid.nodes()
@@ -1215,7 +1215,7 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
         gaps = []
         for e in levels:
             emb = EmbeddedField1D(lam_proc, mol, float(e))
-            sol = solve_system(wave_to_system(FromX(emb), u0, u0_slope, u1),
+            sol = solve_system(wave_to_system(emb, u0, u0_slope, u1),
                                base, spec.horizon, spec.dt, x_step=spec.x_step)
             gaps.append(_trusted_gap(sol, ref=sol_ref))
         # the finest level's solution at the interchange probes

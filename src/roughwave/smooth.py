@@ -1,12 +1,12 @@
 """Differentiable field interfaces used by the solvers.
 
-A Field1D maps x to values; a Field2D maps (x, t).  Both carry a safe
-evaluation domain and answer derivative queries up to the order they
-support.  Analytic fields wrap closed-form callables; transformed
-fields wrap pointwise maps of parent fields (value queries only);
-shifted and lifted fields re-place a Field1D on the line or in the
-plane; the embedded fields produced by :mod:`roughwave.mollify` plug
-into the same interface.
+A Field1D maps x to values and answers derivative queries up to the
+order it supports; a Field2D maps (x, t) to values.  Both carry a safe
+evaluation domain.  Speeds are fields of x alone; couplings and forcing
+are fields of (x, t) and may vary in t.  Analytic fields wrap
+closed-form callables, constant fields a number; a shifted field
+re-places a Field1D on the line; the embedded fields produced by
+:mod:`roughwave.mollify` plug into the same interface.
 
 `simpson_weights` is the composite Simpson rule that the fixed-lattice
 quadratures in `hypsolve` and `scenarios` share;
@@ -64,9 +64,6 @@ class Rect:
 
     def contains(self, x, t, tol: float = 1e-9) -> bool:
         return self.x.contains(x, tol) and self.t.contains(t, tol)
-
-    def intersect(self, other: "Rect") -> "Rect":
-        return Rect(self.x.intersect(other.x), self.t.intersect(other.t))
 
 
 FULL_PLANE = Rect(FULL_LINE, FULL_LINE)
@@ -148,8 +145,17 @@ class AnalyticField1D(Field1D):
         return _owned(self._fns[order](x), x.shape, x)
 
 
-def constant_field_1d(c: float) -> AnalyticField1D:
-    return AnalyticField1D([lambda x: np.full_like(x, c), lambda x: np.zeros_like(x)])
+class ConstantField1D(Field1D):
+    """The constant c on the whole line; every derivative is zero."""
+
+    def __init__(self, c: float):
+        self.c = float(c)
+
+    def values(self, x, order: int = 0) -> np.ndarray:
+        if order < 0:
+            raise ParameterError(f"derivative order must be >= 0, got {order}")
+        shape = np.shape(x)
+        return np.full(shape, self.c) if order == 0 else np.zeros(shape)
 
 
 class ShiftedField1D(Field1D):
@@ -167,13 +173,12 @@ class ShiftedField1D(Field1D):
 
 
 class Field2D:
-    """Base: field of (x, t) with partial-derivative queries."""
+    """Base: field of (x, t), queried for values only."""
 
     domain: Rect = FULL_PLANE
     t_independent: bool = False
-    scale: float | None = None
 
-    def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
+    def values(self, x, t) -> np.ndarray:
         raise NotImplementedError
 
     def check_domain(self, x, t):
@@ -182,18 +187,12 @@ class Field2D:
 
 
 class ConstantField2D(Field2D):
-    def __init__(self, c: float, domain: Rect | None = None):
+    def __init__(self, c: float):
         self.c = float(c)
         self.t_independent = True
-        if domain is not None:
-            self.domain = domain
 
-    def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        out_shape = np.broadcast_shapes(x.shape, np.asarray(t).shape)
-        if dx == 0 and dt == 0:
-            return np.full(out_shape, self.c)
-        return np.zeros(out_shape)
+    def values(self, x, t) -> np.ndarray:
+        return np.full(np.broadcast_shapes(np.shape(x), np.shape(t)), self.c)
 
 
 def is_zero_field(f: Field2D | None) -> bool:
@@ -201,67 +200,21 @@ def is_zero_field(f: Field2D | None) -> bool:
 
 
 class AnalyticField2D(Field2D):
-    """Closed-form field of (x, t); fn_table maps (dx, dt) to a callable."""
+    """Closed-form field of (x, t): fn(x, t) gives its values."""
 
     def __init__(
         self,
-        fn_table: dict[tuple[int, int], Callable[[np.ndarray, np.ndarray], np.ndarray]],
+        fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         domain: Rect = FULL_PLANE,
         t_independent: bool = False,
     ):
-        if (0, 0) not in fn_table:
-            raise ParameterError("fn_table must provide the (0, 0) entry")
-        self._fns = dict(fn_table)
+        self._fn = fn
         self.domain = domain
         self.t_independent = t_independent
 
-    def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
-        if (dx, dt) not in self._fns:
-            raise ParameterError(f"no callable for derivative order ({dx}, {dt})")
+    def values(self, x, t) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         t = np.asarray(t, dtype=float)
         self.check_domain(x, t)
         shape = np.broadcast_shapes(x.shape, t.shape)
-        return _owned(self._fns[(dx, dt)](x, t), shape, x, t)
-
-
-class FromX(Field2D):
-    """Lift a Field1D of x into the plane (constant in t)."""
-
-    def __init__(self, f: Field1D):
-        self._f = f
-        self.domain = Rect(f.domain, FULL_LINE)
-        self.t_independent = True
-        self.scale = f.scale
-
-    def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
-        if dx < 0 or dt < 0:
-            raise ParameterError(f"derivative orders must be >= 0, got ({dx}, {dt})")
-        x = np.asarray(x, dtype=float)
-        shape = np.broadcast_shapes(x.shape, np.asarray(t).shape)
-        if dt > 0:
-            return np.zeros(shape)
-        return _owned(self._f.values(x, dx), shape, x, t)
-
-
-class TransformedField2D(Field2D):
-    """fn applied pointwise to parent field values (value queries only)."""
-
-    def __init__(self, fn: Callable[..., np.ndarray], *parents: Field2D):
-        if not parents:
-            raise ParameterError("need at least one parent field")
-        self._fn = fn
-        self._parents = parents
-        dom = parents[0].domain
-        for p in parents[1:]:
-            dom = dom.intersect(p.domain)
-        self.domain = dom
-        self.t_independent = all(p.t_independent for p in parents)
-        scales = [p.scale for p in parents if p.scale is not None]
-        self.scale = min(scales) if scales else None
-
-    def values(self, x, t, dx: int = 0, dt: int = 0) -> np.ndarray:
-        if dx or dt:
-            raise ParameterError("transformed field supports value queries only")
-        vals = [p.values(x, t) for p in self._parents]
-        return np.asarray(self._fn(*vals), dtype=float)
+        return _owned(self._fn(x, t), shape, x, t)

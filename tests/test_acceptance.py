@@ -22,7 +22,7 @@ from roughwave.seeding import rng_for
 from roughwave.smooth import (
     AnalyticField1D,
     AnalyticField2D,
-    ConstantField2D,
+    ConstantField1D,
     Interval,
 )
 
@@ -70,10 +70,10 @@ def _random_smooth_problem(rng):
     n = 2
     speeds, forcing, data = [], [], []
     for _ in range(n):
-        speeds.append(ConstantField2D(float(rng.uniform(-1.5, 1.5))))
+        speeds.append(ConstantField1D(float(rng.uniform(-1.5, 1.5))))
         a, b, c = rng.uniform(-1.0, 1.0, 3)
         forcing.append(AnalyticField2D(
-            {(0, 0): lambda x, t, a=a, b=b, c=c: a * np.sin(b * x + c * t)}))
+            lambda x, t, a=a, b=b, c=c: a * np.sin(b * x + c * t)))
         amp, freq, phase = rng.uniform(-1.0, 1.0, 3)
         data.append(AnalyticField1D([
             lambda x, A=amp, w=freq, q=phase: A * np.sin(w * x + q),
@@ -81,7 +81,7 @@ def _random_smooth_problem(rng):
         ]))
     w = rng.uniform(-1.0, 1.0, (n, n))
     coupling = [[AnalyticField2D(
-        {(0, 0): lambda x, t, c=float(w[i, j]): c * np.cos(x - 0.5 * t)})
+        lambda x, t, c=float(w[i, j]): c * np.cos(x - 0.5 * t))
         for j in range(n)] for i in range(n)]
     return HyperbolicProblem(speeds=speeds, coupling=coupling,
                              forcing=forcing, data=data)

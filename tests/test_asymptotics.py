@@ -16,7 +16,7 @@ from roughwave.errors import DomainError, ParameterError
 from roughwave.fields import sample_brownian_1d
 from roughwave.grids import Grid1D
 from roughwave.mollify import EmbeddedField1D, EpsLadder, build_mollifier
-from roughwave.smooth import AnalyticField1D, Interval, constant_field_1d
+from roughwave.smooth import AnalyticField1D, ConstantField1D, Interval
 
 LADDER = EpsLadder(0.5, 0.5, 8)
 DESC = NormDescriptor(Interval(0.0, 1.0), 0, 0.0, 1)
@@ -27,7 +27,7 @@ DESC = NormDescriptor(Interval(0.0, 1.0), 0, 0.0, 1)
 
 def test_measure_constant_field_is_one():
     ser = measure_series(
-        lambda eps, seed: constant_field_1d(1.0),
+        lambda eps, seed: ConstantField1D(1.0),
         Interval(-1.0, 1.0), 0, 0.0, LADDER,
     )
     assert np.all(ser.measurements == 1.0)

@@ -16,55 +16,51 @@ from roughwave.errors import (
 from roughwave.fields import sample_brownian_1d
 from roughwave.grids import Grid1D
 from roughwave.mollify import EmbeddedField1D, build_mollifier
-from roughwave.smooth import (
-    AnalyticField1D,
-    AnalyticField2D,
-    ConstantField2D,
-    Interval,
-    Rect,
-)
+from roughwave.smooth import AnalyticField1D, ConstantField1D, Interval
 
 
 def analytic_speed():
     # smooth, globally Lipschitz, speed bound 0.4
-    return AnalyticField2D(
-        {(0, 0): lambda x, t: 0.4 * np.sin(x + 0.3 * t)},
-    )
+    return AnalyticField1D([lambda x: 0.4 * np.sin(x)])
+
+
+def unit_speed_on_unit_interval():
+    return AnalyticField1D([np.ones_like], domain=Interval(-1.0, 1.0))
 
 
 def test_constant_speed_is_exact():
-    c = ConstantField2D(0.7)
-    xs = flow_levels(c, np.array([0.2]), 0.0, 1.5, 64)[:, 0]
+    c = ConstantField1D(0.7)
+    xs = flow_levels(c, np.array([0.2]), 1.5, 64)[:, 0]
     ts = np.linspace(0.0, 1.5, 65)
     assert abs(xs[-1] - (0.2 + 0.7 * 1.5)) <= 1e-12
     assert np.allclose(xs, 0.2 + 0.7 * ts, atol=1e-12)
 
 
 def test_linear_speed_matches_exponential():
-    c = AnalyticField2D({(0, 0): lambda x, t: x + 0.0 * t})
-    xs = flow_levels(c, np.array([0.5]), 0.0, 1.0, 200)[:, 0]
+    c = AnalyticField1D([lambda x: x])
+    xs = flow_levels(c, np.array([0.5]), 1.0, 200)[:, 0]
     assert abs(xs[-1] - 0.5 * np.e) <= 1e-9
 
 
 def test_backward_integration_inverts_forward():
     c = analytic_speed()
-    fwd = flow_levels(c, np.array([-0.3]), 0.0, 1.0, 400)[:, 0]
-    back = flow_levels(c, fwd[-1:], 1.0, 0.0, 400)[:, 0]
+    fwd = flow_levels(c, np.array([-0.3]), 1.0, 400)[:, 0]
+    back = flow_levels(c, fwd[-1:], -1.0, 400)[:, 0]
     assert abs(back[-1] - (-0.3)) <= 1e-9
 
 
 def test_flow_semigroup_property():
     c = analytic_speed()
     xs = np.linspace(-1.0, 1.0, 9)
-    direct = flow_levels(c, xs, 0.0, 1.2, 600)[-1]
-    half = flow_levels(c, xs, 0.0, 0.6, 300)[-1]
-    relay = flow_levels(c, half, 0.6, 1.2, 300)[-1]
+    direct = flow_levels(c, xs, 1.2, 600)[-1]
+    half = flow_levels(c, xs, 0.6, 300)[-1]
+    relay = flow_levels(c, half, 0.6, 300)[-1]
     assert np.max(np.abs(direct - relay)) <= 1e-9
 
 
 def test_picard_agrees_with_rk4():
     c = analytic_speed()
-    xs = flow_levels(c, np.array([0.1]), 0.0, 1.0, 800)[:, 0]
+    xs = flow_levels(c, np.array([0.1]), 1.0, 800)[:, 0]
     pic = picard_characteristic_oracle(c, x0=0.1, t0=0.0, t1=1.0, n_nodes=4097)
     assert abs(pic.xs[-1] - xs[-1]) <= 1e-8
     # update sizes decay geometrically once the iteration settles
@@ -84,37 +80,22 @@ def test_picard_iteration_limit():
 def test_flow_levels_freezes_escaping_walker():
     # unit speed on [-1, 1]: the walker from 0.4 would reach 1.15 on the
     # third step, so it stays at its last interior position 0.9
-    c = ConstantField2D(1.0, domain=Rect(Interval(-1.0, 1.0), Interval(-5.0, 5.0)))
-    levels = flow_levels(c, np.array([0.4, -0.9]), 0.0, 1.0, 4)
+    c = unit_speed_on_unit_interval()
+    levels = flow_levels(c, np.array([0.4, -0.9]), 1.0, 4)
     assert levels.shape == (5, 2)
     assert np.allclose(levels[:, 0], [0.4, 0.65, 0.9, 0.9, 0.9], atol=1e-12)
     assert np.allclose(levels[:, 1], [-0.9, -0.65, -0.4, -0.15, 0.1], atol=1e-12)
 
 
-def test_flow_levels_per_column_times_match_scalar_calls():
-    # one time span per column, as the solver steps per-anchor feet: each
-    # column must equal its own scalar-time march
-    c = analytic_speed()
-    xs = np.linspace(-1.0, 1.0, 7)
-    t0 = np.array([0.3, 0.2, 0.1])
-    t1 = t0 - 0.1
-    block = np.stack([xs, xs + 0.05, xs - 0.05], axis=1)
-    got = flow_levels(c, block, t0, t1, 3)
-    assert got.shape == (4, 7, 3)
-    for col in range(3):
-        want = flow_levels(c, block[:, col], t0[col], t1[col], 3)
-        np.testing.assert_array_equal(got[:, :, col], want)
-
-
 def test_picard_detects_escape():
-    c = ConstantField2D(1.0, domain=Rect(Interval(-1.0, 1.0), Interval(-5.0, 5.0)))
+    c = unit_speed_on_unit_interval()
     with pytest.raises(DomainEscapeError):
         picard_characteristic_oracle(c, x0=0.9, t0=0.0, t1=1.0)
 
 
 def test_determinacy_trapezoid_shrinks_at_speed_bound():
-    c = ConstantField2D(1.0)
-    trap = determinacy_domain(c, Interval(-1.0, 1.0), horizon=0.9)
+    c = ConstantField1D(1.0)
+    trap = determinacy_domain([c], Interval(-1.0, 1.0), horizon=0.9)
     iv = trap.interval_at(0.5)
     assert iv.lo == pytest.approx(-1.0 + 0.505, abs=1e-12)
     assert iv.hi == pytest.approx(1.0 - 0.505, abs=1e-12)
@@ -128,23 +109,23 @@ def test_determinacy_trapezoid_shrinks_at_speed_bound():
 
 
 def test_determinacy_horizon_guard():
-    c = ConstantField2D(2.0)
+    c = ConstantField1D(2.0)
     with pytest.raises(EmptyDomainError):
-        determinacy_domain(c, Interval(-1.0, 1.0), horizon=0.6)
+        determinacy_domain([c], Interval(-1.0, 1.0), horizon=0.6)
 
 
 def test_zero_speed_never_shrinks():
-    c = ConstantField2D(0.0)
-    trap = determinacy_domain(c, Interval(-1.0, 1.0), horizon=100.0)
+    c = ConstantField1D(0.0)
+    trap = determinacy_domain([c], Interval(-1.0, 1.0), horizon=100.0)
     iv = trap.interval_at(100.0)
     assert iv.width == pytest.approx(2.0, rel=1e-9)
 
 
-def test_determinacy_refuses_a_speed_that_varies_in_t():
-    # 1 + t peaks only at t = horizon, which one sampled row would miss
-    c = AnalyticField2D({(0, 0): lambda x, t: 1.0 + t + 0.0 * x})
-    with pytest.raises(ParameterError, match="vary in t"):
-        determinacy_domain(c, Interval(-1.0, 1.0), horizon=0.4)
+def test_determinacy_bound_is_the_largest_speed():
+    # one bound for every speed: the largest |c_i|, inflated by 1.01
+    speeds = [ConstantField1D(0.5), ConstantField1D(-2.0)]
+    trap = determinacy_domain(speeds, Interval(-1.0, 1.0), horizon=0.4)
+    assert trap.speed_bound == 1.01 * 2.0
 
 
 # ------------------------------------------------------------- arclength
@@ -283,9 +264,12 @@ def test_trapezoid_contains_vectorized():
 def test_parameter_guards():
     c = analytic_speed()
     with pytest.raises(ParameterError):
-        flow_levels(c, np.array([0.0]), 0.0, 1.0, 0)
-    with pytest.raises(ParameterError):
-        determinacy_domain(c, Interval(-1.0, 1.0), horizon=-1.0)
+        flow_levels(c, np.array([0.0]), 1.0, 0)
+    for horizon in (-1.0, np.nan, np.inf):
+        with pytest.raises(ParameterError):
+            determinacy_domain([c], Interval(-1.0, 1.0), horizon=horizon)
+    with pytest.raises(ParameterError, match="not finite"):
+        determinacy_domain([ConstantField1D(np.nan)], Interval(-1.0, 1.0), horizon=0.5)
     with pytest.raises(ParameterError):
         ArclengthChart(flat_curve(), n_nodes=2)
     chart = ArclengthChart(flat_curve())

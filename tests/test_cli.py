@@ -260,6 +260,8 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
     ("geometric-wave", {"probes": [-2.6], "curves": ["flat", "brownian"]},
      "where the brownian curve is defined"),
     ("calibration", {"transport_time": 50}, "determinacy collapse time"),
+    ("calibration", {"transport_speed": float("nan")},
+     "sampled speed bound nan is not finite"),
     ("random-speed-wave", {"dt": 0.3, "horizon": 0.5}, "dt/2 refinement"),
 ], ids=["speed-lo-negative", "empty-domain", "ogawa-eps-negative",
         "ogawa-no-check-times", "ogawa-one-sample", "calibration-dt-zero",
@@ -271,7 +273,8 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
         "ogawa-coarse-eps-default-halfwidth", "geometric-no-probes",
         "geometric-flat-probe-past-4", "geometric-linear-probe-past-minus-4",
         "geometric-sine-probe-past-path", "geometric-brownian-probe-past-path",
-        "calibration-transport-past-collapse", "random-speed-off-lattice-dt"])
+        "calibration-transport-past-collapse", "calibration-transport-speed-nan",
+        "random-speed-off-lattice-dt"])
 def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
                                                        scenario, overrides,
                                                        message):

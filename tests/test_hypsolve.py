@@ -26,16 +26,14 @@ from roughwave.mollify import EmbeddedField1D, build_mollifier
 from roughwave.smooth import (
     AnalyticField1D,
     AnalyticField2D,
+    ConstantField1D,
     ConstantField2D,
-    FromX,
     Interval,
-    constant_field_1d,
     running_trapezoid,
 )
 
 SIN = AnalyticField1D([np.sin, np.cos])
-ZERO_2D = ConstantField2D(0.0)
-ZERO_1D = constant_field_1d(0.0)
+ZERO_1D = ConstantField1D(0.0)
 
 
 def single(speed, coupling=None, forcing=None, data=SIN):
@@ -52,14 +50,14 @@ def test_problem_validation():
         HyperbolicProblem(speeds=[], coupling=[], forcing=[], data=[])
     with pytest.raises(ShapeMismatchError):
         HyperbolicProblem(
-            speeds=[ZERO_2D], coupling=[[None, None]], forcing=[None], data=[SIN]
+            speeds=[ZERO_1D], coupling=[[None, None]], forcing=[None], data=[SIN]
         )
     with pytest.raises(ShapeMismatchError):
-        HyperbolicProblem(speeds=[ZERO_2D], coupling=[[None]], forcing=[], data=[SIN])
+        HyperbolicProblem(speeds=[ZERO_1D], coupling=[[None]], forcing=[], data=[SIN])
 
 
 def test_constant_speed_transport_is_exact():
-    prob = single(ConstantField2D(0.8))
+    prob = single(ConstantField1D(0.8))
     sol = solve_system(prob, Interval(-4.0, 4.0), horizon=0.5, dt=0.01)
     xs, got = sol.on_level(0, 0.5)
     assert np.max(np.abs(got - np.sin(xs - 0.8 * 0.5))) <= 1e-12
@@ -69,8 +67,8 @@ def test_constant_speed_transport_is_exact():
 
 def test_forced_transport_manufactured_solution():
     # u(x,t) = sin(x - 0.8 t) + t^2 needs forcing g = 2t (linear: trapezoid-exact)
-    g = AnalyticField2D({(0, 0): lambda x, t: 2.0 * t + 0.0 * x})
-    prob = single(ConstantField2D(0.8), forcing=g)
+    g = AnalyticField2D(lambda x, t: 2.0 * t + 0.0 * x)
+    prob = single(ConstantField1D(0.8), forcing=g)
     sol = solve_system(prob, Interval(-4.0, 4.0), horizon=0.5, dt=0.01)
     xs, got = sol.on_level(0, 0.5)
     want = np.sin(xs - 0.4) + 0.25
@@ -80,7 +78,7 @@ def test_forced_transport_manufactured_solution():
 def test_static_forcing_without_coupling():
     # a time-independent forcing is the row's only right-hand side: its one
     # shared column must reach every anchor level
-    prob = single(ConstantField2D(0.8), forcing=ConstantField2D(2.0))
+    prob = single(ConstantField1D(0.8), forcing=ConstantField2D(2.0))
     sol = solve_system(prob, Interval(-4.0, 4.0), horizon=0.5, dt=0.01)
     xs, got = sol.on_level(0, 0.5)
     assert np.max(np.abs(got - (np.sin(xs - 0.4) + 1.0))) <= 1e-10
@@ -90,7 +88,7 @@ def test_exponential_ode_matches_discrete_fixed_point():
     # speed 0, u' = u, u(0) = 1: the trapezoid fixed point is
     # ((2 + dt) / (2 - dt))^k exactly, and e^t up to O(t dt^2)
     dt = 0.005
-    prob = single(ZERO_2D, coupling=ConstantField2D(1.0), data=constant_field_1d(1.0))
+    prob = single(ZERO_1D, coupling=ConstantField2D(1.0), data=ConstantField1D(1.0))
     sol = solve_system(prob, Interval(-1.0, 1.0), horizon=1.0, dt=dt, tol=1e-13)
     _, got = sol.on_level(0, 1.0)
     k = len(sol.t_nodes) - 1
@@ -101,7 +99,7 @@ def test_exponential_ode_matches_discrete_fixed_point():
 
 def test_exponential_ode_tight_tolerance():
     dt = 0.001
-    prob = single(ZERO_2D, coupling=ConstantField2D(1.0), data=constant_field_1d(1.0))
+    prob = single(ZERO_1D, coupling=ConstantField2D(1.0), data=ConstantField1D(1.0))
     sol = solve_system(
         prob, Interval(-1.0, 1.0), horizon=1.0, dt=dt, tol=1e-13, x_step=0.25
     )
@@ -114,10 +112,10 @@ def test_oscillator_coupling():
     one = ConstantField2D(1.0)
     neg = ConstantField2D(-1.0)
     prob = HyperbolicProblem(
-        speeds=[ZERO_2D, ZERO_2D],
+        speeds=[ZERO_1D, ZERO_1D],
         coupling=[[None, one], [neg, None]],
         forcing=[None, None],
-        data=[constant_field_1d(1.0), constant_field_1d(0.0)],
+        data=[ConstantField1D(1.0), ConstantField1D(0.0)],
     )
     sol = solve_system(prob, Interval(-1.0, 1.0), horizon=1.0, dt=0.01)
     _, u = sol.on_level(0, 1.0)
@@ -127,23 +125,38 @@ def test_oscillator_coupling():
 
 
 def test_iteration_limit_raises():
-    prob = single(ZERO_2D, coupling=ConstantField2D(5.0), data=constant_field_1d(1.0))
+    prob = single(ZERO_1D, coupling=ConstantField2D(5.0), data=ConstantField1D(1.0))
     with pytest.raises(IterationLimitError):
         solve_system(prob, Interval(-1.0, 1.0), horizon=1.0, dt=0.05, max_iter=3)
 
 
 def test_solve_system_refuses_a_speed_that_varies_in_t(monkeypatch):
     # u_t + (0.5 + 0.25 sin t) u_x = 0, alone and as the wave speed, is
-    # outside the problem class: refused before any feet are computed
-    lam = AnalyticField2D({(0, 0): lambda x, t: 0.5 + 0.25 * np.sin(t) + 0.0 * x})
+    # outside the problem class: a speed must be a Field1D, and one of
+    # (x, t) is refused before any feet are computed
+    lam = AnalyticField2D(lambda x, t: 0.5 + 0.25 * np.sin(t) + 0.0 * x)
 
     def no_feet(*args):
         raise AssertionError("feet computed for a refused speed")
 
     monkeypatch.setattr(hypsolve, "_feet_blocks", no_feet)
-    for prob in (single(lam), bump_wave(lam)):
-        with pytest.raises(ParameterError, match="vary in t"):
-            solve_system(prob, Interval(-3.0, 3.0), horizon=0.5, dt=0.01)
+    for build in (single, bump_wave):
+        with pytest.raises(ParameterError, match="must be a Field1D"):
+            solve_system(build(lam), Interval(-3.0, 3.0), horizon=0.5, dt=0.01)
+
+
+@pytest.mark.parametrize("kw", [
+    {"coupling": SIN},
+    {"coupling": 0.5},
+    {"forcing": SIN},
+    {"data": ConstantField2D(1.0)},
+    {"data": None},
+], ids=["coupling-1d", "coupling-number", "forcing-1d", "data-2d", "data-none"])
+def test_problem_refuses_entries_of_the_wrong_type(kw):
+    # a Field1D coupling once got a TypeError inside _along_feet, after
+    # the feet were built
+    with pytest.raises(ParameterError, match="must be a Field"):
+        single(ConstantField1D(0.5), **kw)
 
 
 @pytest.mark.parametrize("kw", [
@@ -158,7 +171,7 @@ def test_solve_system_refuses_a_speed_that_varies_in_t(monkeypatch):
 def test_solve_system_rejects_meaningless_steps(kw):
     args = dict(horizon=0.5, dt=0.05) | kw
     with pytest.raises(ParameterError):
-        solve_system(single(ConstantField2D(0.5)), Interval(-1.0, 1.0), **args)
+        solve_system(single(ConstantField1D(0.5)), Interval(-1.0, 1.0), **args)
 
 
 def test_rough_speed_gets_capped_steps():
@@ -167,16 +180,16 @@ def test_rough_speed_gets_capped_steps():
     grid = Grid1D.from_bounds(-4.0, 4.0, int(round(8.0 / step)) + 1)
     w = sample_brownian_1d(grid, seed=11)
     mol = build_mollifier(moments=2)
-    lifted = FromX(EmbeddedField1D(w, mol, eps))
-    assert np.isfinite(lifted.scale)
+    speed = EmbeddedField1D(w, mol, eps)
+    assert np.isfinite(speed.scale)
     dt = 0.02
-    n = hypsolve._substeps(lifted, dt)
+    n = hypsolve._substeps(speed, dt)
     # step no coarser than scale/16
-    assert dt / n <= lifted.scale / 16.0 + 1e-15
+    assert dt / n <= speed.scale / 16.0 + 1e-15
 
 
 def test_solution_queries_respect_trust_region():
-    prob = single(ConstantField2D(1.0))
+    prob = single(ConstantField1D(1.0))
     sol = solve_system(prob, Interval(-2.0, 2.0), horizon=1.0, dt=0.01)
     with pytest.raises(DomainError):
         sol.values(0, np.array([1.9]), np.array([0.5]))
@@ -188,7 +201,7 @@ def test_solution_queries_respect_trust_region():
 def test_dalembert_wave():
     # u_tt = u_xx, u0 = sin, u1 = 0: u = sin x cos t
     prob = wave_to_system(
-        speed=ConstantField2D(1.0),
+        speed=ConstantField1D(1.0),
         u0=SIN,
         u0_slope=AnalyticField1D([np.cos]),
         u1=ZERO_1D,
@@ -203,7 +216,7 @@ def test_dalembert_wave():
 
 def test_gronwall_bound_holds():
     prob = wave_to_system(
-        speed=ConstantField2D(1.0),
+        speed=ConstantField1D(1.0),
         u0=SIN,
         u0_slope=AnalyticField1D([np.cos]),
         u1=ZERO_1D,
@@ -248,22 +261,22 @@ def test_geometric_wave_dual_route():
     # (2 lam) exactly, so v and w are pure transport at speeds +-lam and u
     # integrates (v + w) / 2
     # route 2: closed form through the arclength chart
-    def lam(x, t):
+    def lam(x):
         return 1.0 / np.sqrt(1.0 + 0.09 * np.cos(x) ** 2)
 
     def slope(x):
         return -8.0 * x * np.exp(-4.0 * x**2)
 
     def char_datum(sign):
-        return AnalyticField1D([lambda x: sign * lam(x, 0.0) * slope(x)])
+        return AnalyticField1D([lambda x: sign * lam(x) * slope(x)])
 
     u0 = AnalyticField1D([lambda x: np.exp(-4.0 * x**2), slope])
     half = ConstantField2D(0.5)
     prob = HyperbolicProblem(
         speeds=[
-            AnalyticField2D({(0, 0): lam}, t_independent=True),
-            AnalyticField2D({(0, 0): lambda x, t: -lam(x, t)}, t_independent=True),
-            ZERO_2D,
+            AnalyticField1D([lam]),
+            AnalyticField1D([lambda x: -lam(x)]),
+            ZERO_1D,
         ],
         coupling=[[None, None, None], [None, None, None], [half, half, None]],
         forcing=[None, None, None],
@@ -289,7 +302,7 @@ def test_geometric_wave_with_initial_velocity():
         domain=Interval(-4.0, 4.0),
     )
     chart = ArclengthChart(flat)
-    u0 = constant_field_1d(0.0)
+    u0 = ConstantField1D(0.0)
     u1 = AnalyticField1D([np.cos])
     xs = np.linspace(-1.0, 1.0, 21)
     got = geometric_wave_solve(chart, u0, u1, xs, 0.5)
@@ -298,7 +311,7 @@ def test_geometric_wave_with_initial_velocity():
 
 
 def test_halving_error_estimate():
-    prob = single(ZERO_2D, coupling=ConstantField2D(1.0), data=constant_field_1d(1.0))
+    prob = single(ZERO_1D, coupling=ConstantField2D(1.0), data=ConstantField1D(1.0))
     base = Interval(-1.0, 1.0)
     sol = solve_system(prob, base, horizon=1.0, dt=0.02, x_step=0.02)
     est = halving_error_estimate(prob, sol, base, horizon=1.0, dt=0.02, x_step=0.02)
@@ -326,9 +339,16 @@ def bump_wave(speed):
     return wave_to_system(speed, BUMP, BUMP_SLOPE, ZERO_1D)
 
 
+def test_negated_wave_speed_keeps_the_smoothing_scale():
+    # the -lam family takes as many RK4 substeps as the +lam family
+    prob = bump_wave(smoothed_speed())
+    plus, minus = prob.speeds[0], prob.speeds[1]
+    assert hypsolve._substeps(minus, 0.02) == hypsolve._substeps(plus, 0.02) == 2
+
+
 def test_halving_estimate_reuses_the_coarse_solve():
     # the caller's coarse solve gives the float that two fresh solves give
-    prob = bump_wave(FromX(smoothed_speed()))
+    prob = bump_wave(smoothed_speed())
     base = Interval(-1.0, 1.0)
     coarse = solve_system(prob, base, 0.2, 0.02, x_step=0.04)
     est = halving_error_estimate(prob, coarse, base, 0.2, 0.02, component=2, x_step=0.04)
@@ -353,7 +373,7 @@ def test_halving_estimate_reuses_the_coarse_solve():
     ],
 )
 def test_halving_estimate_refuses_off_lattice_coarse_solve(coarse_kw, kw):
-    prob = single(ConstantField2D(0.5), coupling=ConstantField2D(-0.3))
+    prob = single(ConstantField1D(0.5), coupling=ConstantField2D(-0.3))
     base = Interval(-1.0, 1.0)
     coarse = solve_system(prob, base, 0.2, **coarse_kw)
     with pytest.raises(ParameterError):
@@ -385,7 +405,7 @@ def test_wave_couplings_evaluate_the_speed_once_per_block(monkeypatch):
     monkeypatch.setattr(EmbeddedField1D, "values", counted)
     monkeypatch.setattr(hypsolve, "_along_feet", marked)
     sol = solve_system(
-        bump_wave(FromX(smoothed_speed())), Interval(-1.0, 1.0), horizon=0.2, dt=0.02,
+        bump_wave(smoothed_speed()), Interval(-1.0, 1.0), horizon=0.2, dt=0.02,
         x_step=0.05
     )
     per_block = Counter(calls)
@@ -399,12 +419,12 @@ def test_wave_datum_reads_the_speed_at_rest():
     # the characteristic data u1 -+ lam(x, 0) u0' take lam from the
     # couplings' query at the same feet; the solve must equal one whose
     # data evaluate lam afresh
-    lam = FromX(smoothed_speed())
+    lam = smoothed_speed()
     prob = bump_wave(lam)
 
     def fresh(sign):
         def fn(x):
-            return ZERO_1D.values(x) + sign * lam.values(x, np.zeros_like(x)) * BUMP_SLOPE.values(x)
+            return ZERO_1D.values(x) + sign * lam.values(x) * BUMP_SLOPE.values(x)
 
         return AnalyticField1D([fn], domain=prob.data[0].domain)
 

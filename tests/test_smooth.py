@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from roughwave.errors import ParameterError
-from roughwave.smooth import (AnalyticField1D, AnalyticField2D, FromX, Interval,
+from roughwave.smooth import (AnalyticField1D, AnalyticField2D, Interval,
                              simpson_weights)
 
 
@@ -21,26 +21,12 @@ def test_analytic_field_refuses_orders_it_does_not_provide(order):
     x = np.array([0.3])
     with pytest.raises(ParameterError):
         f.values(x, order)
-    with pytest.raises(ParameterError):
-        FromX(f).values(x, np.zeros_like(x), dx=order)
-
-
-@pytest.mark.parametrize("orders", [{"dt": -1}, {"dx": -1, "dt": 1}])
-def test_lifted_field_refuses_negative_orders(orders):
-    # dt=-1 once fell through to the order-0 values, sin(0.3), and dt > 0
-    # to zeros whatever dx was
-    f = FromX(AnalyticField1D([np.sin, np.cos]))
-    x = np.array([0.3])
-    with pytest.raises(ParameterError, match="must be >= 0"):
-        f.values(x, x, **orders)
-
 
 
 @pytest.mark.parametrize("field", [
     AnalyticField1D([lambda x: x]),
-    FromX(AnalyticField1D([lambda x: x])),
-    AnalyticField2D({(0, 0): lambda x, t: x}),
-], ids=["1d", "lifted", "2d"])
+    AnalyticField2D(lambda x, t: x),
+], ids=["1d", "2d"])
 def test_values_never_hand_back_the_query_array(field):
     # an identity callable returns its argument; the field must copy it
     x = np.linspace(0.0, 1.0, 5)
@@ -59,12 +45,12 @@ def test_values_keep_a_fresh_result_of_the_query_shape():
         made.append(x + t)
         return made[-1]
 
-    f = AnalyticField2D({(0, 0): add, (1, 0): lambda x, t: 2.0,
-                         (0, 1): lambda x, t: np.broadcast_to(3.0, x.shape)})
     x = np.linspace(0.0, 1.0, 5)
-    assert f.values(x, x) is made[-1]
-    np.testing.assert_array_equal(f.values(x, x, dx=1), np.full(5, 2.0))
-    assert f.values(x, x, dt=1).flags.writeable
+    assert AnalyticField2D(add).values(x, x) is made[-1]
+    scalar = AnalyticField2D(lambda x, t: 2.0)
+    np.testing.assert_array_equal(scalar.values(x, x), np.full(5, 2.0))
+    read_only = AnalyticField2D(lambda x, t: np.broadcast_to(3.0, x.shape))
+    assert read_only.values(x, x).flags.writeable
 
 
 def test_interval_contains_keeps_its_edge_answers():
