@@ -138,24 +138,13 @@ class SolutionField:
         mask = self.trust.contains(xs, self.t_nodes[k])
         return xs[mask], self.tables[component][mask, k]
 
-    def values(self, component: int, x, t) -> np.ndarray:
-        """Bilinear interpolation, restricted to the trust trapezoid."""
+    def values(self, component: int, x, t: float) -> np.ndarray:
+        """Linear interpolation in x on lattice level t, inside the trust trapezoid."""
+        k = self.level_index(t)
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = np.broadcast_to(np.asarray(t, dtype=float), x.shape)
-        if not np.all(self.trust.contains(x, t)):
+        if not np.all(self.trust.contains(x, self.t_nodes[k])):
             raise DomainError("query outside the solution's trusted trapezoid")
-        tn = self.t_nodes
-        kf = np.clip(np.searchsorted(tn, t, side="right") - 1, 0, len(tn) - 2)
-        frac = np.clip((t - tn[kf]) / (tn[kf + 1] - tn[kf]), 0.0, 1.0)
-        tab = self.tables[component]
-        xs = self.x_grid.nodes()
-        out = np.empty_like(x)
-        for k in np.unique(kf):
-            sel = kf == k
-            lo = np.interp(x[sel], xs, tab[:, k])
-            hi = np.interp(x[sel], xs, tab[:, k + 1])
-            out[sel] = (1.0 - frac[sel]) * lo + frac[sel] * hi
-        return out
+        return np.interp(x, self.x_grid.nodes(), self.tables[component][:, k])
 
 
 def _substeps(speed: Field1D, dt: float) -> int:
@@ -409,10 +398,12 @@ def wave_to_system(
     x-derivative of u0 (passed separately so embedded data can supply it
     exactly), and u1 is the initial velocity.
 
-    lam is a field of x (ParameterError for any other, before any work)
-    and must stay away from zero, since the reduction divides by it.
+    lam and the three data are fields of x (ParameterError for any
+    other, before any work), and lam must stay away from zero, since the
+    reduction divides by it.
     """
-    _require_type("speed", speed, Field1D)
+    for name, f in (("speed", speed), ("u0", u0), ("u0_slope", u0_slope), ("u1", u1)):
+        _require_type(name, f, Field1D)
     lam = speed
 
     # The two couplings of a row query the same points in turn, and the
@@ -508,7 +499,7 @@ def gronwall_check(sol: SolutionField, problem: HyperbolicProblem):
         iv = sol.trust.interval_at(t) if t != 0.0 else sol.trust.base
         xs = np.linspace(iv.lo, iv.hi, GRONWALL_PROBES)
         lhs[idx] = max(
-            float(np.max(np.abs(sol.values(i, xs, np.full_like(xs, t)))))
+            float(np.max(np.abs(sol.values(i, xs, t))))
             for i in range(sol.size)
         )
         fsum = 0.0
@@ -597,7 +588,7 @@ def halving_error_estimate(
     xs = np.linspace(iv.lo, iv.hi, 201)
     diff = 0.0
     for t in coarse.t_nodes[1:]:
-        a = coarse.values(component, xs, np.full_like(xs, t))
-        b = fine.values(component, xs, np.full_like(xs, t))
+        a = coarse.values(component, xs, t)
+        b = fine.values(component, xs, t)
         diff = max(diff, float(np.max(np.abs(a - b))))
     return diff

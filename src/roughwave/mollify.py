@@ -9,12 +9,14 @@ inert as s shrinks; two different cutoffs give the same field up to a
 Gaussian-tail discrepancy.
 
 Derivatives of the smoothed field convolve with the derivative of the
-kernel, so differentiation and smoothing commute by construction.
+kernel, so differentiation and smoothing commute by construction.  Every
+caller reads values (order 0) or slopes (order 1), so those are the two
+orders the kernel answers.
 
 Kernel evaluation forms the Leibniz sum of cutoff and Gaussian terms only
 on the transition band cutoff_inner < |z| < cutoff_outer.  On the plateau
-|z| <= cutoff_inner the cutoff is exactly 1 and its derivatives exactly 0,
-so the value there is the order-k Gaussian term alone, and beyond
+|z| <= cutoff_inner the cutoff is exactly 1 and its slope exactly 0, so
+the value there is the Gaussian term of that order alone, and beyond
 cutoff_outer it is exactly 0.  A call whose points all lie on the plateau
 skips the cutoff entirely.  A smoothing window at scale s skips the
 cutoff once trunc_radius * s, plus the few path steps the window adds,
@@ -71,17 +73,15 @@ _CHUNK_ENTRIES = 1 << 16
 
 @lru_cache(maxsize=64)
 def _poly_coeffs(coeffs: tuple, order: int) -> tuple:
-    """Coefficients of P_k, where rho^(k) = P_k * gaussian and P_0 = P.
+    """Coefficients of P_order, where rho^(order) = P_order * gaussian.
 
-    Uses P_{k+1} = P_k' - z P_k.  Keyed on the coefficient tuple, so the
-    cache holds no Mollifier.  Every kernel derivative starts here.
+    P_0 = P and P_1 = P' - z P.  Keyed on the coefficient tuple, so the
+    cache holds no Mollifier.
     """
-    if order < 0:
-        raise ParameterError(f"derivative order must be >= 0, got {order}")
     if order == 0:
         return coeffs
-    prev = Polynomial(_poly_coeffs(coeffs, order - 1))
-    return tuple((prev.deriv() - Polynomial([0.0, 1.0]) * prev).coef)
+    p = Polynomial(coeffs)
+    return tuple((p.deriv() - Polynomial([0.0, 1.0]) * p).coef)
 
 
 @lru_cache(maxsize=8)
@@ -169,13 +169,13 @@ class Mollifier:
     cutoff_outer: float
     trunc_radius: float
 
-    def rho(self, z, order: int = 0) -> np.ndarray:
+    def rho(self, z) -> np.ndarray:
         z = np.asarray(z, dtype=float)
         gauss = _GAUSS_NORM * np.exp(-0.5 * z * z)
-        return _horner(_poly_coeffs(self.poly_coeffs, order), z) * gauss
+        return _horner(self.poly_coeffs, z) * gauss
 
     def _cutoff_band(self, z: np.ndarray, order: int, scratch=_fresh) -> list:
-        """[chi(z), ..., chi^(order)(z)] for points with a < |z| < b.
+        """[chi(z)] at order 0, [chi(z), chi'(z)] at order 1, for a < |z| < b.
 
         Every array has z's shape and is written into ``scratch``.
         """
@@ -193,7 +193,7 @@ class Mollifier:
         g -= t
         sig = expit(g, out=g)
         out = [sig]
-        if order >= 1:
+        if order == 1:
             # gp = -1/u**2 - 1/(1-u)**2
             gp = np.square(u, out=scratch("band_gp", shape))
             np.divide(-1.0, gp, out=gp)
@@ -208,22 +208,6 @@ class Mollifier:
             chi1 /= b - a
             chi1 *= np.sign(z, out=t)
             out.append(chi1)
-        if order >= 2:
-            # gpp = 2/u**3 - 2/(1-u)**3
-            gpp = np.power(u, 3, out=scratch("band_chi2", shape))
-            np.divide(2.0, gpp, out=gpp)
-            np.subtract(1.0, u, out=t)
-            np.power(t, 3, out=t)
-            np.divide(2.0, t, out=t)
-            gpp -= t
-            # mass * ((1 - 2 sig) * gp**2 + gpp) / (b - a)**2
-            np.multiply(sig, 2.0, out=t)
-            np.subtract(1.0, t, out=t)
-            t *= np.square(gp, out=gp)
-            t += gpp
-            chi2 = np.multiply(mass, t, out=gpp)
-            chi2 /= (b - a) ** 2
-            out.append(chi2)
         return out
 
     def support_radius(self, scale: float) -> float:
@@ -232,17 +216,14 @@ class Mollifier:
 
     def kernel_values(self, z, scale: float, order: int = 0,
                       scratch=_fresh) -> np.ndarray:
-        """d^order/dz^order of chi(z) * rho(z / scale) / scale.
+        """d^order/dz^order of chi(z) * rho(z / scale) / scale, order 0 or 1.
 
         Given a _Scratch of at least z.size entries, every intermediate and
         the result are views of its buffers, valid until its next use.
         """
+        if order not in (0, 1):
+            raise ParameterError(f"kernel derivative order must be 0 or 1, got {order}")
         z = np.asarray(z, dtype=float)
-        # Higher orders only when the cutoff plateau covers the support.
-        if order > 2 and self.trunc_radius * scale > self.cutoff_inner:
-            raise ParameterError(
-                f"kernel derivative order {order} needs trunc_radius*scale <= cutoff_inner"
-            )
         # rows by columns: a smoothing window, or one row of points
         if z.ndim > 1:
             z2 = z.reshape(math.prod(z.shape[:-1]), z.shape[-1])
@@ -275,23 +256,15 @@ class Mollifier:
                 # the outer mask's buffer holds az < b until band takes it
                 band &= np.less(az, b, out=scratch("outer", sub, bool))
                 outer = np.greater_equal(az, b, out=scratch("outer", sub, bool))
-                chi = self._cutoff_band(zc, min(order, 2), scratch)
-                uc, gc, tc = u[:, cols], gauss[:, cols], scratch("term", sub)
+                chi = self._cutoff_band(zc, order, scratch)
+                # chi * rho^(order) / scale**(order + 1), plus at order 1
+                # chi' * rho / scale
                 val = chi[0]
-                if order > 2:
-                    # (chi * rho^(k)) / scale**(k + 1), in that order
-                    val *= rho_k(order, uc, gc, tc)
-                    val /= scale ** (order + 1)
-                else:
-                    # Leibniz sum with binomial weights 1, order, 1
-                    val *= oc
-                    for j in range(1, order + 1):
-                        c = chi[j]
-                        c *= order if j == 1 else 1.0
-                        t = rho_k(order - j, uc, gc, tc)
-                        t /= scale ** (order - j + 1)
-                        c *= t
-                        val += c
+                val *= oc
+                if order == 1:
+                    t = rho_k(0, u[:, cols], gauss[:, cols], scratch("term", sub))
+                    t /= scale
+                    val += np.multiply(chi[1], t, out=chi[1])
                 np.copyto(oc, val, where=band)
                 np.copyto(oc, 0.0, where=outer)
         return out.reshape(z.shape)
@@ -374,24 +347,16 @@ class EpsLadder:
 
 
 class EmbeddedField1D(Field1D):
-    """Path smoothed at a fixed scale; derivatives via kernel derivatives.
+    """Path smoothed at a fixed scale; its slope via the kernel's slope.
 
     A query point reads the 2*hw+1 path nodes around it, weighted by the
-    kernel derivative of order base_order + order.
+    kernel (order 0) or its derivative (order 1).
     """
 
-    def __init__(
-        self,
-        process: SampledProcess,
-        mol: Mollifier,
-        kernel_scale: float,
-        base_order: int = 0,
-    ):
+    def __init__(self, process: SampledProcess, mol: Mollifier, kernel_scale: float):
         grid = process.grid
         if not (0.0 < kernel_scale <= 1.0):
             raise ParameterError(f"kernel scale must be in (0, 1], got {kernel_scale}")
-        if base_order < 0:
-            raise ParameterError(f"derivative order must be >= 0, got {base_order}")
         if grid.step > kernel_scale / 8.0 + 1e-15:
             raise ResolutionError(
                 f"grid step {grid.step} too coarse for scale {kernel_scale}: need <= scale/8"
@@ -405,14 +370,13 @@ class EmbeddedField1D(Field1D):
         self.process = process
         self.mol = mol
         self.scale = float(kernel_scale)
-        self.base_order = base_order
         self.domain = Interval(grid.lower + r, grid.upper - r)
         self._hw = int(np.ceil(r / grid.step)) + 1
         self._width = 2 * self._hw + 1
 
     def values(self, x, order: int = 0) -> np.ndarray:
-        if order < 0:
-            raise ParameterError(f"derivative order must be >= 0, got {order}")
+        if order not in (0, 1):
+            raise ParameterError(f"derivative order must be 0 or 1, got {order}")
         x = np.asarray(x, dtype=float)
         self.check_domain(x)
         g = self.process.grid
@@ -435,8 +399,7 @@ class EmbeddedField1D(Field1D):
             j0 = np.minimum(np.maximum(j0, 0), g.count - self._width)
             z = nodes[j0]
             np.subtract(xs[:, None], z, out=z)
-            w = self.mol.kernel_values(z, self.scale, self.base_order + order,
-                                       scratch)
+            w = self.mol.kernel_values(z, self.scale, order, scratch)
             # free each gathered block before the next gather, so that all
             # of them reuse the one block of heap the cache still holds
             del z

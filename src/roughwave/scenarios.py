@@ -27,7 +27,7 @@ from numpy.polynomial.hermite_e import hermegauss
 from scipy.special import ndtr
 
 from .asymptotics import norm_interchange
-from .characteristics import ArclengthChart, determinacy_domain
+from .characteristics import SPEED_SAFETY, ArclengthChart, determinacy_domain
 from .errors import EmptyDomainError, ParameterError
 from .fields import (SampledProcess, sample_brownian_1d, translation_transform,
                      white_noise_action, white_noise_field)
@@ -1121,7 +1121,8 @@ class RandomSpeedSpec:
         _require_at_least(self, 1, "", "n_seeds", "n_features")
         _require_levels("ladder", self.ladder,
                         "the gap check compares successive levels")
-        r = build_mollifier().support_radius(float(self.ladder.levels()[0]))
+        mol = build_mollifier()
+        r = mol.support_radius(float(self.ladder.levels()[0]))
         if self.field_halfwidth - r < self.kappa:
             raise ParameterError(
                 f"field_halfwidth {self.field_halfwidth} leaves the smoothed "
@@ -1132,10 +1133,15 @@ class RandomSpeedSpec:
                 f"dt {self.dt} puts horizon {self.horizon} on a lattice whose "
                 f"dt/2 refinement does not keep every second level: the "
                 f"halving error estimate compares the two")
-        if self.kappa <= self.slope_bound * self.horizon:
+        # the run solves the unit-speed member, the unsmoothed speed and
+        # the smoothed ones, at most speed_hi times the kernel's L1 norm
+        z = np.linspace(-mol.trunc_radius, mol.trunc_radius, 20001)
+        l1 = float(np.abs(mol.rho(z)).sum() * (z[1] - z[0]))
+        bound = SPEED_SAFETY * max(1.0, l1 * self.speed_hi)
+        if self.kappa <= bound * self.horizon:
             raise EmptyDomainError(
                 f"base half-width {self.kappa} with speed bound "
-                f"{self.slope_bound} leaves no determinate set at time "
+                f"{bound:.6g} leaves no determinate set at time "
                 f"{self.horizon}")
 
 

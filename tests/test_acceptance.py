@@ -219,11 +219,10 @@ def test_criterion_8_mollifier_suite():
         return SampledProcess(g, fn(g.nodes()), seed=0, source="analytic")
 
     eps = 0.02
-    d_of_embed = EmbeddedField1D(tab(np.sin, -1.0, 2.0, eps / 8),
-                                 mol, eps, base_order=1)
+    d_of_embed = EmbeddedField1D(tab(np.sin, -1.0, 2.0, eps / 8), mol, eps)
     embed_of_d = EmbeddedField1D(tab(np.cos, -1.0, 2.0, eps / 8), mol, eps)
     xs = np.linspace(0.0, 1.0, 13)
-    commute = float(np.max(np.abs(d_of_embed.values(xs)
+    commute = float(np.max(np.abs(d_of_embed.values(xs, order=1)
                                   - embed_of_d.values(xs))))
 
     wide = build_mollifier(moments=2, cutoff_inner=1.0, cutoff_outer=2.0)

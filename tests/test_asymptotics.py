@@ -42,8 +42,8 @@ def test_measure_brownian_derivative_grows_pathwise():
     w = sample_brownian_1d(g, seed=21)
     mol = build_mollifier(moments=2)
     ser = measure_series(
-        lambda eps, seed: EmbeddedField1D(w, mol, eps, base_order=1),
-        Interval(0.0, 1.0), 0, 0.0, EpsLadder(0.25, 0.5, 6),
+        lambda eps, seed: EmbeddedField1D(w, mol, eps),
+        Interval(0.0, 1.0), 1, 0.0, EpsLadder(0.25, 0.5, 6),
     )
     assert np.all(np.diff(ser.measurements) > 0.0)
 

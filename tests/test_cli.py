@@ -7,8 +7,8 @@ import yaml
 
 import roughwave
 from roughwave.cli import RunConfig, main, parse_config
-from roughwave.errors import ConfigError
-from roughwave.scenarios import SCENARIOS, CalibrationSpec
+from roughwave.errors import ConfigError, EmptyDomainError
+from roughwave.scenarios import SCENARIOS, CalibrationSpec, RandomSpeedSpec
 
 from conftest import MASTER_SEED
 
@@ -263,6 +263,8 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
     ("calibration", {"transport_speed": float("nan")},
      "sampled speed bound nan is not finite"),
     ("random-speed-wave", {"dt": 0.3, "horizon": 0.5}, "dt/2 refinement"),
+    # the smoothed speeds reach speed_hi times the kernel's L1 norm 1.14
+    ("random-speed-wave", {"speed_hi": 10.0}, "no determinate set"),
 ], ids=["speed-lo-negative", "empty-domain", "ogawa-eps-negative",
         "ogawa-no-check-times", "ogawa-one-sample", "calibration-dt-zero",
         "calibration-kappa-negative", "geometric-one-level-sine-ladder",
@@ -274,7 +276,7 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
         "geometric-flat-probe-past-4", "geometric-linear-probe-past-minus-4",
         "geometric-sine-probe-past-path", "geometric-brownian-probe-past-path",
         "calibration-transport-past-collapse", "calibration-transport-speed-nan",
-        "random-speed-off-lattice-dt"])
+        "random-speed-off-lattice-dt", "random-speed-fast-speed"])
 def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
                                                        scenario, overrides,
                                                        message):
@@ -362,14 +364,16 @@ def test_cli_rerun_identical_csv_bytes(tmp_path, capsys):
         assert (d1 / name).read_bytes() == (d2 / name).read_bytes(), name
 
 
-def test_cli_empty_domain_recorded(capsys, tmp_path):
-    # the spec's kappa check trusts slope_bound; the unit-speed d'Alembert
-    # member is faster than 0.5, so its domain collapses at run time
+def test_cli_empty_domain_recorded(capsys, tmp_path, monkeypatch):
+    # a domain that collapses at run time, past the spec's checks
+    def collapse(spec, jobs=1):
+        raise EmptyDomainError("collapse time 0.23 for speed bound 8.7")
+
+    monkeypatch.setitem(SCENARIOS, "random-speed-wave",
+                        (RandomSpeedSpec, collapse))
     cfg = write_config(tmp_path / "run.yaml",
                        {"scenario": "random-speed-wave",
-                        "master_seed": MASTER_SEED,
-                        "random-speed-wave": {"kappa": 0.3,
-                                              "slope_bound": 0.5}})
+                        "master_seed": MASTER_SEED})
     outdir = tmp_path / "out"
     assert main([cfg, "--output-dir", str(outdir)]) == 3
     assert "EmptyDomainError" in capsys.readouterr().err

@@ -159,6 +159,16 @@ def test_problem_refuses_entries_of_the_wrong_type(kw):
         single(ConstantField1D(0.5), **kw)
 
 
+@pytest.mark.parametrize("name", ["u0", "u0_slope", "u1"])
+def test_wave_to_system_refuses_data_that_are_not_fields_of_x(name):
+    # a Field2D u0_slope or u1 once raised AttributeError from the
+    # data-domain intersection
+    data = {"u0": SIN, "u0_slope": AnalyticField1D([np.cos]), "u1": ZERO_1D}
+    data[name] = ConstantField2D(1.0)
+    with pytest.raises(ParameterError, match=f"{name} must be a Field1D"):
+        wave_to_system(ConstantField1D(1.0), **data)
+
+
 @pytest.mark.parametrize("kw", [
     {"x_step": -0.1},
     {"x_step": 0.0},
@@ -250,7 +260,7 @@ def test_transport_t_only_embedded_shift_is_exact():
     assert abs(shift - want) <= 1e-12
     assert np.allclose(moved.values(np.array([0.3])), np.sin(0.3 - shift), atol=1e-12)
     ts = np.linspace(0.0, 0.6, 4801)
-    speed = EmbeddedField1D(w, mol, eps, base_order=1).values(ts)
+    speed = EmbeddedField1D(w, mol, eps).values(ts, order=1)
     assert abs(running_trapezoid(speed, ts[1] - ts[0])[-1] - shift) <= 1e-7
 
 
@@ -284,7 +294,7 @@ def test_geometric_wave_dual_route():
     )
     sol = solve_system(prob, Interval(-3.0, 3.0), horizon=0.4, dt=0.005)
     xs = np.linspace(-1.5, 1.5, 41)
-    route1 = sol.values(2, xs, np.full_like(xs, 0.4))
+    route1 = sol.values(2, xs, 0.4)
 
     curve = AnalyticField1D(
         [lambda x: 0.3 * np.sin(x), lambda x: 0.3 * np.cos(x)],

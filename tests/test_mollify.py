@@ -62,7 +62,7 @@ def test_cutoff_band_is_a_monotone_step():
     assert np.all(np.diff(edge) <= 0.0)
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1])
 def test_cutoff_derivatives_match_finite_differences(order):
     mol = build_mollifier(moments=0)
     z = np.array([-1.9, -1.5, -1.2, 1.1, 1.4, 1.8])
@@ -76,7 +76,7 @@ def test_cutoff_derivatives_match_finite_differences(order):
     assert np.allclose(got, fd, atol=1e-4, rtol=1e-4)
 
 
-@pytest.mark.parametrize("order", [1, 2])
+@pytest.mark.parametrize("order", [1])
 def test_kernel_derivatives_match_finite_differences(order):
     mol = build_mollifier(moments=2)
     s = 0.3
@@ -105,11 +105,8 @@ def _reference_cutoff(mol, z, order):
         mass = sig * (1.0 - sig)
         if order == 0:
             out[mid] = sig
-        elif order == 1:
-            out[mid] = mass * gp / (b - a) * np.sign(z[mid])
         else:
-            gpp = 2.0 / u**3 - 2.0 / (1.0 - u) ** 3
-            out[mid] = mass * ((1.0 - 2.0 * sig) * gp**2 + gpp) / (b - a) ** 2
+            out[mid] = mass * gp / (b - a) * np.sign(z[mid])
     return out
 
 
@@ -121,18 +118,16 @@ def _reference_kernel(mol, z, scale, order):
             p = p.deriv() - Polynomial([0.0, 1.0]) * p
         return p(u) * (1.0 / np.sqrt(2.0 * np.pi) * np.exp(-0.5 * u * u))
 
-    if order > 2:
-        return _reference_cutoff(mol, z, 0) * rho(z / scale, order) / scale ** (order + 1)
     out = np.zeros(z.shape)
     for j in range(order + 1):
-        comb = 1.0 if j == 0 else (order if j == 1 else 1.0)
+        # Leibniz sum; both binomial weights are 1 at orders 0 and 1
         rho_term = rho(z / scale, order - j) / scale ** (order - j + 1)
-        out += comb * _reference_cutoff(mol, z, j) * rho_term
+        out += _reference_cutoff(mol, z, j) * rho_term
     return out
 
 
 @pytest.mark.parametrize("m", [0, 2, 4, 6])
-@pytest.mark.parametrize("order", [0, 1, 2])
+@pytest.mark.parametrize("order", [0, 1])
 # windows inside the plateau, straddling it, and reaching past cutoff_outer
 @pytest.mark.parametrize("scale", [0.03, 0.1, 0.2, 0.32])
 def test_kernel_values_bitwise_equal_full_cutoff_product(m, order, scale):
@@ -150,20 +145,6 @@ def test_kernel_values_bitwise_equal_full_cutoff_product(m, order, scale):
                     mol.kernel_values(z, scale, order, scratch)):
             assert got.shape == z.shape
             assert np.array_equal(got, want)
-
-
-@pytest.mark.parametrize("order", [3, 4])
-def test_kernel_values_high_order_bitwise_equal(order):
-    mol = build_mollifier(moments=2)
-    scale = 0.1  # trunc_radius * scale <= cutoff_inner
-    z = np.concatenate([np.linspace(-0.9, 0.9, 37), [-1.5, 1.0, 1.2, 2.0, 2.5]])
-    # a window whose edge columns just pass cutoff_inner
-    window = np.linspace(1.05, -1.05, 43)[None, :] + np.linspace(0.0, 0.02, 6)[:, None]
-    scratch = mollify._Scratch(window.size)
-    for zz in (z[:37], z, window):
-        want = _reference_kernel(mol, zz, scale, order)
-        assert np.array_equal(mol.kernel_values(zz, scale, order), want)
-        assert np.array_equal(mol.kernel_values(zz, scale, order, scratch), want)
 
 
 def test_kernel_quadrature_mass_unit():
@@ -245,9 +226,9 @@ def test_embed_derivative_of_sine_is_cosine():
     eps = 0.01
     p = tabulate(np.sin, -1.0, 2.0, eps / 8)
     mol = build_mollifier(moments=2)
-    f = EmbeddedField1D(p, mol, eps, base_order=1)
+    f = EmbeddedField1D(p, mol, eps)
     xs = np.linspace(0.0, 1.0, 13)
-    assert np.max(np.abs(f.values(xs) - np.cos(xs))) <= 1e-3
+    assert np.max(np.abs(f.values(xs, order=1) - np.cos(xs))) <= 1e-3
 
 
 def test_smoothing_commutes_with_differentiation():
@@ -255,11 +236,11 @@ def test_smoothing_commutes_with_differentiation():
     mol = build_mollifier(moments=2)
     p_sin = tabulate(np.sin, -1.0, 2.0, eps / 8)
     p_cos = tabulate(np.cos, -1.0, 2.0, eps / 8)
-    d_of_embed = EmbeddedField1D(p_sin, mol, eps, base_order=1)
+    d_of_embed = EmbeddedField1D(p_sin, mol, eps)
     embed_of_d = EmbeddedField1D(p_cos, mol, eps)
     rng = np.random.default_rng(1)
     xs = rng.uniform(0.0, 1.0, size=10)
-    assert np.max(np.abs(d_of_embed.values(xs) - embed_of_d.values(xs))) <= 1e-6
+    assert np.max(np.abs(d_of_embed.values(xs, order=1) - embed_of_d.values(xs))) <= 1e-6
 
 
 def test_field_derivative_matches_finite_difference():
@@ -288,7 +269,7 @@ def test_values_chunks_split_rows_only(monkeypatch):
     eps = 0.05
     mol = build_mollifier(moments=2)
     grid = Grid1D.from_bounds(-1.0, 2.0, int(round(3.0 / (eps / 8))) + 1)
-    f = EmbeddedField1D(sample_brownian_1d(grid, seed=11), mol, eps, base_order=1)
+    f = EmbeddedField1D(sample_brownian_1d(grid, seed=11), mol, eps)
     width = 2 * (int(np.ceil(mol.support_radius(eps) / grid.step)) + 1) + 1
     rows = mollify._CHUNK_ENTRIES // width
     xs = np.random.default_rng(4).uniform(0.0, 1.0, 3 * rows + 17)
@@ -300,9 +281,9 @@ def test_values_chunks_split_rows_only(monkeypatch):
         return inner(self, z, *args)
 
     monkeypatch.setattr(Mollifier, "kernel_values", counting)
-    whole = f.values(xs)
+    whole = f.values(xs, order=1)
     assert len(sizes) == 4 and max(sizes) <= mollify._CHUNK_ENTRIES
-    pieces = np.concatenate([f.values(xs[lo:lo + 1000])
+    pieces = np.concatenate([f.values(xs[lo:lo + 1000], order=1)
                              for lo in range(0, xs.size, 1000)])
     assert np.array_equal(whole, pieces)
 
@@ -316,7 +297,7 @@ def _reference_values(f, x, order=0):
     j0 = np.clip(j0, 0, g.count - f._width)
     idx = j0[:, None] + np.arange(f._width)[None, :]
     w = f.mol.kernel_values(xs[:, None] - (g.lower + idx * g.step),
-                            f.scale, f.base_order + order)
+                            f.scale, order)
     return ((w * f.process.values[idx]).sum(axis=1) * g.step).reshape(x.shape)
 
 
@@ -326,20 +307,19 @@ def _assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-# plateau-only windows at every order, and windows that reach the cutoff
-# band at the orders it allows (base_order + order <= 2); at eps 0.32 they
-# also pass cutoff_outer, where the kernel is exactly 0
-@pytest.mark.parametrize("eps, base_order, order", [
-    (eps, b, k) for eps in (0.05, 0.2, 0.32) for b in range(3) for k in range(3)
-    if eps == 0.05 or b + k <= 2
+# plateau-only windows (eps 0.05) and windows that reach the cutoff band,
+# at both orders; at eps 0.32 they also pass cutoff_outer, where the kernel
+# is exactly 0
+@pytest.mark.parametrize("eps, order", [
+    (eps, k) for eps in (0.05, 0.2, 0.32) for k in range(2)
 ])
-def test_values_bitwise_equal_index_array_window(eps, base_order, order):
+def test_values_bitwise_equal_index_array_window(eps, order):
     mol = build_mollifier(moments=2)
     grid = Grid1D.from_bounds(-2.0, 3.0, int(round(5.0 / (eps / 8))) + 1)
-    f = EmbeddedField1D(sample_brownian_1d(grid, seed=3), mol, eps, base_order)
+    f = EmbeddedField1D(sample_brownian_1d(grid, seed=3), mol, eps)
     lo, hi = f.domain.lo, f.domain.hi
     rows = mollify._CHUNK_ENTRIES // f._width
-    rng = np.random.default_rng(base_order + 3 * order)
+    rng = np.random.default_rng(3 * order)
     # windows clipped at the lower and the upper grid end
     ends = np.array([lo, np.nextafter(lo, hi), lo + grid.step, hi - grid.step,
                      np.nextafter(hi, lo), hi])
@@ -353,10 +333,9 @@ def test_values_bitwise_equal_index_array_window(eps, base_order, order):
     ]
     for x in cases:
         _assert_same_bits(f.values(x, order), _reference_values(f, x, order))
-    shifted = EmbeddedField1D(f.process, mol, eps,
-                              base_order + 1 if base_order < 2 else base_order - 1)
+    # the other order on a short query
     x = cases[0][:50]
-    _assert_same_bits(shifted.values(x), _reference_values(shifted, x))
+    _assert_same_bits(f.values(x, 1 - order), _reference_values(f, x, 1 - order))
 
 
 def test_values_repeated_queries_keep_no_state():
@@ -364,11 +343,11 @@ def test_values_repeated_queries_keep_no_state():
     eps = 0.2
     mol = build_mollifier(moments=2)
     grid = Grid1D.from_bounds(-2.0, 3.0, int(round(5.0 / (eps / 8))) + 1)
-    f = EmbeddedField1D(sample_brownian_1d(grid, seed=6), mol, eps, base_order=1)
+    f = EmbeddedField1D(sample_brownian_1d(grid, seed=6), mol, eps)
     rows = mollify._CHUNK_ENTRIES // f._width
     xs = np.random.default_rng(8).uniform(f.domain.lo, f.domain.hi, 2 * rows + 9)
     one = np.array([0.5 * (f.domain.lo + f.domain.hi)])
-    for x, order in ((xs, 0), (one, 1), (xs, 0), (xs, 1)):
+    for x, order in ((xs, 1), (one, 0), (xs, 1), (xs, 0)):
         _assert_same_bits(f.values(x, order), _reference_values(f, x, order))
 
 
@@ -412,8 +391,8 @@ def test_embedded_brownian_derivative_sup_grows():
     inner = grid.nodes()[slice(*np.searchsorted(grid.nodes(), [0.0, 1.0]))]
     sups = []
     for eps in ladder.levels():
-        f = EmbeddedField1D(w, mol, eps, base_order=1)
-        sups.append(np.max(np.abs(f.values(inner))))
+        f = EmbeddedField1D(w, mol, eps)
+        sups.append(np.max(np.abs(f.values(inner, order=1))))
     assert np.all(np.diff(sups) > 0.0)
 
 
@@ -428,8 +407,8 @@ def test_scaled_embed_log_type_derivative():
     inner = grid.nodes()[slice(*np.searchsorted(grid.nodes(), [0.0, 1.0]))]
     ratios = []
     for eps in ladder.levels():
-        f = EmbeddedField1D(w, mol, 1.0 / abs(np.log(eps)), base_order=1)
-        sup = np.max(np.abs(f.values(inner)))
+        f = EmbeddedField1D(w, mol, 1.0 / abs(np.log(eps)))
+        sup = np.max(np.abs(f.values(inner, order=1)))
         ratios.append(sup / abs(np.log(eps)))
     assert max(ratios) <= 3.0
 
@@ -441,28 +420,28 @@ def test_resolution_precondition():
         EmbeddedField1D(p, mol, 0.1)
 
 
-_NEGATIVE_ORDERS = {
-    "rho": lambda p: build_mollifier(moments=2).rho(np.array([0.1]), -1),
+# every caller reads values or slopes, so no other order is answered
+_ORDERS_OUTSIDE_0_1 = {
     "kernel_values": lambda p: build_mollifier(moments=2).kernel_values(
         np.array([0.1]), 0.1, -1
     ),
-    "1d base_order": lambda p: EmbeddedField1D(p, build_mollifier(), 0.1, base_order=-1),
+    "kernel_values order 2": lambda p: build_mollifier(moments=2).kernel_values(
+        np.array([0.1]), 0.1, 2
+    ),
     "1d values": lambda p: EmbeddedField1D(p, build_mollifier(), 0.1).values(
         np.array([0.0]), order=-1
     ),
-    # base_order + order is still >= 0 here; this once returned the
-    # order-0 smoothing instead of raising
-    "1d derivative values": lambda p: EmbeddedField1D(
-        p, build_mollifier(), 0.1, base_order=1
-    ).values(np.array([0.3]), order=-1),
+    "1d values order 2": lambda p: EmbeddedField1D(p, build_mollifier(), 0.1).values(
+        np.array([0.0]), order=2
+    ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_NEGATIVE_ORDERS))
-def test_negative_derivative_order_rejected(case):
+@pytest.mark.parametrize("case", sorted(_ORDERS_OUTSIDE_0_1))
+def test_derivative_order_outside_0_1_rejected(case):
     path = tabulate(np.sin, -2.0, 2.0, 0.1 / 8)
     with pytest.raises(ParameterError):
-        _NEGATIVE_ORDERS[case](path)
+        _ORDERS_OUTSIDE_0_1[case](path)
 
 
 def test_domain_guard_on_evaluation():

@@ -32,7 +32,6 @@ CALLER_EXEMPT = {
         "the report line for classify, which the scenarios' ladder verdicts will use",
     "characteristics.picard_characteristic_oracle": "the independent route for flow_levels",
     "hypsolve.gronwall_check": "acceptance criterion 2's a priori bound",
-    "mollify.Mollifier.rho": "the raw kernel whose mass and moments criterion 8 checks",
 }
 
 
