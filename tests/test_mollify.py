@@ -307,19 +307,20 @@ def _assert_same_bits(got, want):
     assert np.array_equal(np.signbit(got), np.signbit(want))
 
 
-# plateau-only windows (eps 0.05) and windows that reach the cutoff band,
-# at both orders; at eps 0.32 they also pass cutoff_outer, where the kernel
-# is exactly 0
-@pytest.mark.parametrize("eps, order", [
-    (eps, k) for eps in (0.05, 0.2, 0.32) for k in range(2)
+# plateau-only windows (eps 0.05) and windows that reach the cutoff band;
+# at eps 0.32 they also pass cutoff_outer, where the kernel is exactly 0.
+# The cases are read at `order`, then a prefix of the first at `short`:
+# the same order on a one-chunk query, or the other order on the same field
+@pytest.mark.parametrize("eps, short, order", [
+    (eps, j, k) for eps in (0.05, 0.2, 0.32) for j in range(2) for k in range(2)
 ])
-def test_values_bitwise_equal_index_array_window(eps, order):
+def test_values_bitwise_equal_index_array_window(eps, short, order):
     mol = build_mollifier(moments=2)
     grid = Grid1D.from_bounds(-2.0, 3.0, int(round(5.0 / (eps / 8))) + 1)
     f = EmbeddedField1D(sample_brownian_1d(grid, seed=3), mol, eps)
     lo, hi = f.domain.lo, f.domain.hi
     rows = mollify._CHUNK_ENTRIES // f._width
-    rng = np.random.default_rng(3 * order)
+    rng = np.random.default_rng(short + 3 * order)
     # windows clipped at the lower and the upper grid end
     ends = np.array([lo, np.nextafter(lo, hi), lo + grid.step, hi - grid.step,
                      np.nextafter(hi, lo), hi])
@@ -333,9 +334,9 @@ def test_values_bitwise_equal_index_array_window(eps, order):
     ]
     for x in cases:
         _assert_same_bits(f.values(x, order), _reference_values(f, x, order))
-    # the other order on a short query
     x = cases[0][:50]
-    _assert_same_bits(f.values(x, 1 - order), _reference_values(f, x, 1 - order))
+    assert x.size < rows
+    _assert_same_bits(f.values(x, short), _reference_values(f, x, short))
 
 
 def test_values_repeated_queries_keep_no_state():
@@ -421,27 +422,28 @@ def test_resolution_precondition():
 
 
 # every caller reads values or slopes, so no other order is answered
-_ORDERS_OUTSIDE_0_1 = {
-    "kernel_values": lambda p: build_mollifier(moments=2).kernel_values(
-        np.array([0.1]), 0.1, -1
+_ORDER_QUERIES = {
+    "kernel_values": lambda p, k: build_mollifier(moments=2).kernel_values(
+        np.array([0.1]), 0.1, k
     ),
-    "kernel_values order 2": lambda p: build_mollifier(moments=2).kernel_values(
-        np.array([0.1]), 0.1, 2
-    ),
-    "1d values": lambda p: EmbeddedField1D(p, build_mollifier(), 0.1).values(
-        np.array([0.0]), order=-1
-    ),
-    "1d values order 2": lambda p: EmbeddedField1D(p, build_mollifier(), 0.1).values(
-        np.array([0.0]), order=2
+    "1d values": lambda p, k: EmbeddedField1D(p, build_mollifier(), 0.1).values(
+        np.array([0.0]), order=k
     ),
 }
 
 
-@pytest.mark.parametrize("case", sorted(_ORDERS_OUTSIDE_0_1))
-def test_derivative_order_outside_0_1_rejected(case):
+@pytest.mark.parametrize("case", sorted(_ORDER_QUERIES))
+def test_negative_derivative_order_rejected(case):
     path = tabulate(np.sin, -2.0, 2.0, 0.1 / 8)
     with pytest.raises(ParameterError):
-        _ORDERS_OUTSIDE_0_1[case](path)
+        _ORDER_QUERIES[case](path, -1)
+
+
+@pytest.mark.parametrize("case", sorted(_ORDER_QUERIES))
+def test_derivative_order_2_rejected(case):
+    path = tabulate(np.sin, -2.0, 2.0, 0.1 / 8)
+    with pytest.raises(ParameterError):
+        _ORDER_QUERIES[case](path, 2)
 
 
 def test_domain_guard_on_evaluation():
