@@ -9,11 +9,11 @@ differentiable fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.special import ndtr
 
 from .errors import ShapeMismatchError
 from .grids import Grid1D, Grid2D
@@ -104,6 +104,20 @@ def white_noise_action(noise: WhiteNoiseField, phi: np.ndarray) -> float | np.nd
     out = np.einsum("kc,c->k", tab.reshape(-1, noise.increments.size),
                     noise.increments.reshape(-1))
     return float(out[0]) if tab.ndim == 2 else out.reshape(tab.shape[:-2])
+
+
+def ndtr(x) -> np.ndarray:
+    """Standard normal CDF Phi(x) = erfc(-x / sqrt(2)) / 2, elementwise.
+
+    math.erfc per entry: the random-speed wave calls Phi on a few hundred
+    points at a time, where a vectorized rational fit would spend more on
+    its numpy passes than this loop does.
+    """
+    x = np.asarray(x, dtype=float)
+    arg = x * -math.sqrt(0.5)
+    y = np.fromiter(map(math.erfc, arg.ravel().tolist()), float, count=x.size)
+    y *= 0.5
+    return y.reshape(x.shape)
 
 
 def translation_transform(

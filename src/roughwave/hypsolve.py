@@ -139,8 +139,15 @@ class SolutionField:
         return xs[mask], self.tables[component][mask, k]
 
     def values(self, component: int, x, t: float) -> np.ndarray:
-        """Linear interpolation in x on lattice level t, inside the trust trapezoid."""
-        k = self.level_index(t)
+        """Linear interpolation in x on lattice level t, inside the trust trapezoid.
+
+        t is one level: a float or a one-entry array.  ParameterError for
+        any other t, such as one time per point.
+        """
+        if np.size(t) != 1:
+            raise ParameterError(
+                f"t must be one lattice level, got an array of shape {np.shape(t)}")
+        k = self.level_index(float(np.ravel(t)[0]))
         x = np.atleast_1d(np.asarray(x, dtype=float))
         if not np.all(self.trust.contains(x, self.t_nodes[k])):
             raise DomainError("query outside the solution's trusted trapezoid")
@@ -261,21 +268,31 @@ class _PicardSweep:
                 for m in range(K + 1):
                     L = K + 1 - m
                     rows, fr = self.gather[i][m]
+                    # in place on the gathered rows, so no (nx, L) temporary
+                    # beyond them pages in fresh memory; the products and
+                    # sums are those of the plain expressions, which commute
                     rhs = None
                     for j, fv in self.coup[i]:
                         Uj = U[j]
-                        V = Uj[rows, :L] * (1.0 - fr) + Uj[rows + 1, :L] * fr
-                        term = fv[m] * V
-                        rhs = term if rhs is None else rhs + term
+                        V = Uj[rows, :L]
+                        V *= 1.0 - fr
+                        hi = Uj[rows + 1, :L]
+                        hi *= fr
+                        V += hi
+                        V *= fv[m]
+                        rhs = V if rhs is None else np.add(rhs, V, out=rhs)
                     if self.force[i] is not None:
-                        rhs = self.force[i][m] + (0.0 if rhs is None else rhs)
-                    rhs = np.broadcast_to(rhs, (len(tab), L))
+                        if rhs is None:
+                            rhs = np.zeros((len(tab), L))
+                        rhs += self.force[i][m]
+                    # trapezoid weights: dt, halved at depth 0 and level 0
                     if m == 0:
-                        tab[:, 1:] += (0.5 * dt) * rhs[:, 1:]
+                        rhs = rhs[:, 1:]
+                        rhs *= 0.5 * dt
                     else:
-                        w = np.full(L, dt)
-                        w[0] = 0.5 * dt
-                        tab[:, m:] += rhs * w[None, :]
+                        rhs[:, 0] *= 0.5 * dt
+                        rhs[:, 1:] *= dt
+                    tab[:, max(m, 1):] += rhs
             new.append(tab)
         return new
 

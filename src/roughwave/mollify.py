@@ -30,26 +30,28 @@ sum, so the values equal it bit for bit.
 
 A smoothing window reads whole rows of two strided views, one of the
 grid's node positions and one of the path values, so no per-entry index
-array is built.  A query of several chunks makes one _Scratch set and
-writes every kernel intermediate into it with out= ufuncs.  Fresh
-temporaries on every chunk cost more than their arithmetic: the heap
-returned their pages after each chunk and took them back, zero-filled,
-on the next, so one default geometric-wave call took 205 000-228 000
-minor page faults, nearly all in its one band-reaching query; with the
-scratch set it takes about 6 500.  The set lives for one values call, so
-threads that share a Mollifier never share buffers.
+array is built.  A query of more than _FRESH_ENTRIES window entries
+writes its kernel intermediates with out= ufuncs into one _Scratch set,
+kept per thread across queries.  Large fresh temporaries cost more than
+their arithmetic: the heap returned their pages after each chunk and
+took them back, zero-filled, on the next, so one default geometric-wave
+call took 205 000-228 000 minor page faults, nearly all in its one
+band-reaching query; with a scratch set per query it took about 6 500.
+Kept across queries, the set also spares the solver's 201-point feet
+queries their faults.  The set belongs to one thread, so threads that
+share a Mollifier never share buffers.
 """
 
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 from numpy.polynomial import Polynomial
-from scipy.special import expit
 
 from .errors import DomainError, ParameterError, ResolutionError
 from .fields import SampledProcess
@@ -62,13 +64,22 @@ _GAUSS_NORM = 1.0 / np.sqrt(2.0 * np.pi)
 # Window entries per chunk of EmbeddedField1D.values, and per row block of
 # scenarios.cone_average_tab.  A float buffer of 2^16 entries is 512 KiB,
 # so the few a kernel evaluation holds fit a 2 MiB per-core L2 cache and
-# each numpy pass reads cache, not memory.  A query of several chunks
-# writes them all into one _Scratch set, so after its first chunk the
-# kernel and the cutoff band page in no fresh memory.  Swept with that
-# set on the geometric eps = 0.2 query (32 769 points, 997-entry windows;
+# each numpy pass reads cache, not memory.  A query writes them into its
+# thread's one _Scratch set, so once that set has grown the kernel and the
+# cutoff band page in no fresh memory.  Swept with a set per query on
+# the geometric eps = 0.2 query (32 769 points, 997-entry windows;
 # Xeon, 2 MiB L2 per core), best of 3: 1.24 s at 2^20, 0.94 at 2^18, 0.76
 # at 2^17, 0.70 at 2^16, 0.72 at 2^15, 0.80 at 2^14 and 1.69 at 2^12.
 _CHUNK_ENTRIES = 1 << 16
+
+# Window entries up to which a query makes fresh temporaries rather than
+# scratch views.  Temporaries of up to 64 KiB come from the heap's free
+# lists, and the scratch's name lookups cost more (Xeon, best of 7, ms per
+# query, fresh / scratch): 129 entries 0.025 / 0.028, 8 256 entries 0.090
+# / 0.089.  From glibc's 128 KiB mmap threshold each fresh temporary is
+# mapped and faulted in anew: 16 512 entries 0.28 / 0.14, and the
+# random-speed feet queries, 25 929 entries, 0.40 / 0.19.
+_FRESH_ENTRIES = 1 << 13
 
 
 @lru_cache(maxsize=64)
@@ -123,6 +134,26 @@ class _Scratch:
         if buf is None:
             buf = self._bufs[name] = np.empty(self.size, dtype)
         return buf[: math.prod(shape)].reshape(shape)
+
+
+_local = threading.local()
+
+
+def _thread_scratch(size: int) -> _Scratch:
+    """This thread's _Scratch of at least ``size`` entries, kept across calls."""
+    scratch = getattr(_local, "scratch", None)
+    if scratch is None or scratch.size < size:
+        scratch = _local.scratch = _Scratch(max(size, _CHUNK_ENTRIES))
+    return scratch
+
+
+def _expit(g: np.ndarray, out=None) -> np.ndarray:
+    """The logistic 1 / (1 + exp(-g)), exactly 0 where exp(-g) overflows."""
+    out = np.negative(g, out=out)
+    with np.errstate(over="ignore"):
+        np.exp(out, out=out)
+    out += 1.0
+    return np.reciprocal(out, out=out)
 
 
 def _fresh(name: str, shape: tuple, dtype=float) -> None:
@@ -191,7 +222,7 @@ class Mollifier:
         t = np.subtract(1.0, u, out=scratch("band_t", shape))
         np.divide(1.0, t, out=t)
         g -= t
-        sig = expit(g, out=g)
+        sig = _expit(g, out=g)
         out = [sig]
         if order == 1:
             # gp = -1/u**2 - 1/(1-u)**2
@@ -388,10 +419,10 @@ class EmbeddedField1D(Field1D):
         # constructor costs a fraction of as_strided on one-point queries
         vals = np.ndarray(nodes.shape, float, vals, 0, vals.strides * 2)
         max_chunk = max(1, _CHUNK_ENTRIES // self._width)
-        # one set of kernel buffers serves every chunk of a longer query; a
-        # one-chunk query has nothing to reuse and skips the name lookups
-        scratch = (_Scratch(max_chunk * self._width) if flat.size > max_chunk
-                   else _fresh)
+        # the kernel's results are views of the scratch, consumed below
+        # before the next chunk reuses it
+        scratch = (_thread_scratch(max_chunk * self._width)
+                   if flat.size * self._width > _FRESH_ENTRIES else _fresh)
         for lo in range(0, flat.size, max_chunk):
             xs = flat[lo : lo + max_chunk]
             j0 = np.floor((xs - g.lower) / g.step).astype(np.int64) - self._hw

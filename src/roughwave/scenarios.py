@@ -24,13 +24,13 @@ from typing import Callable, Sequence
 
 import numpy as np
 from numpy.polynomial.hermite_e import hermegauss
-from scipy.special import ndtr
 
 from .asymptotics import norm_interchange
 from .characteristics import SPEED_SAFETY, ArclengthChart, determinacy_domain
 from .errors import EmptyDomainError, ParameterError
-from .fields import (SampledProcess, sample_brownian_1d, translation_transform,
-                     white_noise_action, white_noise_field)
+from .fields import (SampledProcess, ndtr, sample_brownian_1d,
+                     translation_transform, white_noise_action,
+                     white_noise_field)
 from .grids import Grid1D, Grid2D
 from .hypsolve import (HyperbolicProblem, geometric_wave_solve,
                        halving_error_estimate, solve_system, transport_t_only,
@@ -413,13 +413,17 @@ def cone_average_tab(mol: Mollifier, point: tuple, eps: float,
         terms.append((kt, t0 - sig))                   # cone half-width at sig
     box = out[box_rows, box_cols]
     block = max(1, _CHUNK_ENTRIES // span.size)
+    arg = np.empty((min(block, box.shape[0]), span.size))
     for lo in range(0, box.shape[0], block):
         # a row block takes every node's term in quadrature order
         dy_b, box_b = dy[lo : lo + block], box[lo : lo + block]
+        arg_b = arg[: len(dy_b)]
         for kt, half in terms:
-            upper = cum_at(dy_b + half[None, :])
-            lower = cum_at(dy_b - half[None, :])
-            box_b += kt[None, :] * (upper - lower)
+            # kt * (upper - lower), in place on interp's two results
+            upper = cum_at(np.add(dy_b, half, out=arg_b))
+            upper -= cum_at(np.subtract(dy_b, half, out=arg_b))
+            upper *= kt
+            box_b += upper
     box *= span[None, :] / (3.0 * (n - 1))
     return out
 

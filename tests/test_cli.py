@@ -289,16 +289,44 @@ def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
     assert not outdir.exists()
 
 
-@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate"])
+@pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate", "scipy"])
 def test_cli_import_leaves_scipy_module_unloaded(module):
-    # both are slow to import (scipy.integrate pulls in scipy.optimize and
-    # scipy.sparse) and nothing in the package needs them
+    # all are slow to import (scipy.integrate pulls in scipy.optimize and
+    # scipy.sparse, scipy.special takes half of a run's set-up) and the
+    # package runs on numpy alone; neither the module nor any submodule of
+    # it may load
     src = os.path.dirname(os.path.dirname(roughwave.__file__))
-    code = f"import sys, roughwave.cli; print({module!r} in sys.modules)"
+    code = ("import sys, roughwave.cli; "
+            f"print(any(m == {module!r} or m.startswith({module + '.'!r}) "
+            "for m in sys.modules))")
     out = subprocess.run([sys.executable, "-c", code], check=True,
                          env=dict(os.environ, PYTHONPATH=src),
                          capture_output=True, text=True).stdout
     assert out.strip() == "False"
+
+
+@pytest.mark.parametrize("scenario, overrides", [
+    # the default spec reaches the kernel's cutoff band
+    ("geometric-wave", {}),
+    # the benchmark's random-speed size; Phi maps every reference speed
+    ("random-speed-wave", {"n_seeds": 1, "horizon": 0.25,
+                           "ladder": {"eps0": 0.1, "ratio": 0.5, "count": 2}}),
+], ids=["geometric-wave-default", "random-speed-workload"])
+def test_cli_runs_with_scipy_blocked(tmp_path, scenario, overrides):
+    # scipy is a test dependency only: a run must not import it
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": scenario, "master_seed": MASTER_SEED,
+                        scenario: overrides})
+    outdir = tmp_path / "out"
+    src = os.path.dirname(os.path.dirname(roughwave.__file__))
+    code = ("import sys; sys.modules['scipy'] = None; "
+            "from roughwave.cli import main; "
+            f"sys.exit(main([{cfg!r}, '--output-dir', {str(outdir)!r}]))")
+    run = subprocess.run([sys.executable, "-c", code],
+                         env=dict(os.environ, PYTHONPATH=src),
+                         capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert (outdir / "verdicts.txt").exists()
 
 
 def test_cli_unknown_curve_is_config_error(capsys, tmp_path):

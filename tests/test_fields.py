@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from roughwave.errors import ShapeMismatchError
 from roughwave.fields import (
     SampledProcess,
+    ndtr,
     sample_brownian_1d,
     translation_transform,
     white_noise_action,
@@ -138,6 +139,23 @@ def test_translation_range_bounded_exactly(seed, lo, width):
     q = translation_transform(p, lambda u: lo + width * u)
     assert np.all(q.values >= lo)
     assert np.all(q.values <= lo + width)
+
+
+def test_ndtr_matches_scipy_oracle():
+    from scipy.special import ndtr as scipy_ndtr
+
+    x = np.linspace(-12.0, 12.0, 240001)
+    got, want = ndtr(x), scipy_ndtr(x)
+    # in the lower tail Phi's relative condition number grows like x^2, so
+    # the two libraries' erfc, and scipy's 0.5 + 0.5 erf branch for
+    # |x| < sqrt(2), may part by a few ulp times 1 + x^2 (at most 66 ulp
+    # at x = -12); on the upper half both are within 2 ulp of each other
+    ulp = np.spacing(want)
+    assert np.all(np.abs(got - want) <= 5.0 * (1.0 + x * x) * ulp)
+    upper = x >= 0.0
+    assert np.all(np.abs(got - want)[upper] <= 2.0 * ulp[upper])
+    assert ndtr(0.0) == 0.5
+    assert ndtr(x[:6].reshape(2, 3)).shape == (2, 3)
 
 
 def test_translation_identity_on_gaussian_marginals():

@@ -208,6 +208,19 @@ def test_solution_queries_respect_trust_region():
     assert abs(got[0] - np.sin(0.3 - 0.25)) <= 1e-4
 
 
+def test_solution_query_refuses_a_time_per_point():
+    # one lattice level per query: a float or a one-entry array
+    sol = solve_system(single(ConstantField1D(1.0)), Interval(-2.0, 2.0),
+                       horizon=0.5, dt=0.05)
+    xs = np.linspace(-0.5, 0.5, 7)
+    want = sol.values(0, xs, 0.25)
+    np.testing.assert_array_equal(sol.values(0, xs, np.array([0.25])), want)
+    with pytest.raises(ParameterError, match=r"shape \(7,\)"):
+        sol.values(0, xs, np.full_like(xs, 0.25))
+    with pytest.raises(ParameterError, match=r"shape \(0,\)"):
+        sol.values(0, xs, np.array([]))
+
+
 def test_dalembert_wave():
     # u_tt = u_xx, u0 = sin, u1 = 0: u = sin x cos t
     prob = wave_to_system(

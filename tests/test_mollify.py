@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from numpy.polynomial import Polynomial
-from scipy.special import expit
 
 from roughwave.errors import (
     DomainError,
@@ -100,7 +99,7 @@ def _reference_cutoff(mol, z, order):
         out[inside] = 1.0
     if np.any(mid):
         u = np.clip((az[mid] - a) / (b - a), 1e-9, 1.0 - 1e-9)
-        sig = expit(1.0 / u - 1.0 / (1.0 - u))
+        sig = mollify._expit(1.0 / u - 1.0 / (1.0 - u))
         gp = -1.0 / u**2 - 1.0 / (1.0 - u) ** 2
         mass = sig * (1.0 - sig)
         if order == 0:
@@ -108,6 +107,27 @@ def _reference_cutoff(mol, z, order):
         else:
             out[mid] = mass * gp / (b - a) * np.sign(z[mid])
     return out
+
+
+def test_band_expit_matches_scipy_oracle():
+    from scipy.special import expit
+
+    # g = 1/u - 1/(1-u) over the band's whole clipped range of u
+    e = np.geomspace(1e-9, 0.5, 200001)
+    u = np.concatenate([e, 1.0 - e])
+    g = 1.0 / u - 1.0 / (1.0 - u)
+    got, want = mollify._expit(g), expit(g)
+    tiny = np.finfo(float).tiny
+    normal = want >= tiny
+    assert np.all(np.abs(got - want)[normal] <= 4.0 * np.spacing(want[normal]))
+    # below the smallest normal float exp(-g) overflows: 0, or subnormal
+    assert np.all(got[~normal] < tiny)
+    assert np.any(want == 0.0)
+    assert np.all(got[want == 0.0] == 0.0)
+    # the band computes it in place on its own buffer
+    buf = g.copy()
+    assert mollify._expit(buf, out=buf) is buf
+    assert np.array_equal(buf, got)
 
 
 def _reference_kernel(mol, z, scale, order):
@@ -331,6 +351,7 @@ def test_values_bitwise_equal_index_array_window(eps, short, order):
         np.concatenate([rng.uniform(lo, hi, rows + 5), ends]),
         rng.uniform(0.0, 1.0, (7, 5)),                          # 2-D x
         np.array([]),
+        rng.uniform(lo, hi, rows // 2),         # one chunk, in the scratch
     ]
     for x in cases:
         _assert_same_bits(f.values(x, order), _reference_values(f, x, order))
@@ -349,6 +370,18 @@ def test_values_repeated_queries_keep_no_state():
     xs = np.random.default_rng(8).uniform(f.domain.lo, f.domain.hi, 2 * rows + 9)
     one = np.array([0.5 * (f.domain.lo + f.domain.hi)])
     for x, order in ((xs, 1), (one, 0), (xs, 1), (xs, 0)):
+        _assert_same_bits(f.values(x, order), _reference_values(f, x, order))
+
+
+def test_values_window_wider_than_a_chunk():
+    # one window holds more entries than the chunk budget, so the thread's
+    # scratch grows to it; a query after that reads the grown set
+    eps = 0.3
+    mol = build_mollifier(moments=2)
+    grid = Grid1D.from_bounds(-2.5, 2.5, 90001)
+    f = EmbeddedField1D(sample_brownian_1d(grid, seed=7), mol, eps)
+    assert f._width > mollify._CHUNK_ENTRIES
+    for x, order in ((np.array([0.1, -0.2]), 1), (np.array([0.3]), 0)):
         _assert_same_bits(f.values(x, order), _reference_values(f, x, order))
 
 
