@@ -246,10 +246,22 @@ def _trusted_gap(sol, exact: Callable = None, ref=None) -> float:
     return _worst(gaps)
 
 
-def _path_grid(halfwidth: float, levels: np.ndarray) -> Grid1D:
-    """Centred grid over [-halfwidth, halfwidth] at the finest level / 8."""
-    step = float(levels[-1]) / 8.0
+def _path_grid(halfwidth: float, eps: float) -> Grid1D:
+    """Grid from -halfwidth past halfwidth at step eps / 8.
+
+    The coarsest step EmbeddedField1D accepts at scale eps: a ladder level
+    smooths a smooth curve tabulated on its own grid (_level_process), or
+    a Brownian path drawn once on the finest level's (_strided_process).
+    """
+    step = float(eps) / 8.0
     return Grid1D(-halfwidth, step, int(math.ceil(2.0 * halfwidth / step)) + 1)
+
+
+def _level_process(halfwidth: float, eps: float, curve: Callable,
+                   seed: int, source: str) -> SampledProcess:
+    """A smooth curve tabulated on the path grid of ladder level eps."""
+    grid = _path_grid(halfwidth, eps)
+    return SampledProcess(grid, curve(grid.nodes()), seed, source)
 
 
 def _seed_row(spec, purpose: str, count: int) -> tuple:
@@ -909,6 +921,9 @@ class GeometricSpec:
     `sine_chart_nodes` sets the c1-sine charts' lattice on the whole curve
     domain; like the Brownian charts, they keep and smooth only its nodes
     within `eval_time` of a probe, where every foot they are asked for lies.
+
+    Each ladder level eps smooths a tabulation at step eps / 8: the sine
+    curve's own, or the one Brownian path's, strided from its finest draw.
     """
 
     master_seed: int
@@ -962,7 +977,9 @@ def _strided_process(path: SampledProcess, eps: float) -> SampledProcess:
     """Drop path nodes the kernel at this scale cannot resolve.
 
     Keeps the embedding contract step <= scale / 8 while the window node
-    count stays proportional to the kernel support.
+    count stays proportional to the kernel support.  For a path drawn
+    once, whose finest draw is the model; it loses the top (count - 1) mod
+    stride steps, so smooth curves are tabulated per level instead.
     """
     stride = max(1, int((eps / 8.0) // path.grid.step))
     if stride == 1:
@@ -1019,9 +1036,6 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
     if "c1-sine" in spec.curves:
         amp = spec.sine_amplitude
         levels = spec.sine_ladder.levels()
-        tab_grid = _path_grid(hw, levels)
-        tab = SampledProcess(tab_grid, amp * np.sin(tab_grid.nodes()),
-                             seed=0, source="sine-curve")
         ref_curve = AnalyticField1D([lambda x: amp * np.sin(x),
                                      lambda x: amp * np.cos(x)],
                                     domain=Interval(-hw, hw))
@@ -1030,6 +1044,8 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
         g_ref = ref_chart.gamma(probes, T, +1)
 
         def sine_level(eps: float) -> float:
+            tab = _level_process(hw, eps, lambda x: amp * np.sin(x), 0,
+                                 "sine-curve")
             emb = EmbeddedField1D(tab, mol, float(eps))
             chart = ArclengthChart(emb, n_nodes=spec.sine_chart_nodes,
                                    window=reach)
@@ -1047,7 +1063,7 @@ def run_geometric_wave(spec: GeometricSpec, jobs: int = 1) -> ScenarioReport:
         levels = spec.brownian_ladder.levels()
         path_seed = subseed(spec.master_seed, "geometric-path",
                             spec.path_index)
-        path = sample_brownian_1d(_path_grid(hw, levels), path_seed)
+        path = sample_brownian_1d(_path_grid(hw, levels[-1]), path_seed)
         seeds.append(("geometric-path", 1, int(path_seed)))
 
         def brown_level(eps: float):
@@ -1186,8 +1202,6 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
     span = spec.speed_hi - spec.speed_lo
     hw = spec.field_halfwidth
     u0, u0_slope, u1 = _bump_data()
-    tab_grid = _path_grid(hw, levels)
-    tab_nodes = tab_grid.nodes()
 
     def f_inverse(u):
         return spec.speed_lo + span * u
@@ -1201,10 +1215,17 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
     checks = [_bounded("constant-speed-dalembert", err_c, spec.dalembert_tol)]
 
     def one_seed(index: int):
-        value, deriv = _speed_draw(spec, index)
-        x_proc = SampledProcess(tab_grid, value(tab_nodes), index,
-                                "random-feature-field")
-        lam_proc = translation_transform(x_proc, f_inverse)
+        draw, deriv = _speed_draw(spec, index)
+        latest = None
+
+        def value(x):
+            # the reference speed's couplings ask for lam_d, then lam, at
+            # the same points: one random-feature sum serves both
+            nonlocal latest
+            x = np.asarray(x, float)
+            if latest is None or not np.array_equal(latest[0], x):
+                latest = (x.copy(), draw(x))
+            return latest[1]
 
         def lam(x):
             return f_inverse(ndtr(value(x)))
@@ -1224,7 +1245,9 @@ def run_random_speed_wave(spec: RandomSpeedSpec,
 
         gaps = []
         for e in levels:
-            emb = EmbeddedField1D(lam_proc, mol, float(e))
+            x_proc = _level_process(hw, e, draw, index, "random-feature-field")
+            emb = EmbeddedField1D(translation_transform(x_proc, f_inverse),
+                                  mol, float(e))
             sol = solve_system(wave_to_system(emb, u0, u0_slope, u1),
                                base, spec.horizon, spec.dt, x_step=spec.x_step)
             gaps.append(_trusted_gap(sol, ref=sol_ref))

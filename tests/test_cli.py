@@ -289,6 +289,18 @@ def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
     assert not outdir.exists()
 
 
+def test_cli_field_halfwidth_the_spec_accepts_runs(capsys, tmp_path):
+    # 4.01 passes the spec's kappa + kernel radius check with 0.01 to
+    # spare; each level's tabulation must still reach past 4.01, or the
+    # coarsest level's smoothed speed misses the base at run time (exit 3)
+    RandomSpeedSpec(master_seed=1, field_halfwidth=4.01)   # accepted
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": "random-speed-wave", "master_seed": 1,
+                        "random-speed-wave": {"n_seeds": 1,
+                                              "field_halfwidth": 4.01}})
+    assert main([cfg, "--output-dir", str(tmp_path / "out")]) in (0, 1)
+
+
 @pytest.mark.parametrize("module", ["scipy.signal", "scipy.integrate", "scipy"])
 def test_cli_import_leaves_scipy_module_unloaded(module):
     # all are slow to import (scipy.integrate pulls in scipy.optimize and

@@ -6,7 +6,10 @@ import pytest
 
 import roughwave.scenarios as scenarios
 from roughwave.errors import EmptyDomainError, ParameterError
-from roughwave.mollify import EpsLadder, Mollifier, build_mollifier
+from roughwave.fields import SampledProcess, translation_transform
+from roughwave.grids import Grid1D
+from roughwave.mollify import (EmbeddedField1D, EpsLadder, Mollifier,
+                               build_mollifier)
 from roughwave.scenarios import (
     AdditiveNoiseSpec,
     CalibrationSpec,
@@ -698,6 +701,86 @@ def test_random_speed_empty_domain_guard():
     # refused when the spec is built, before any solve
     with pytest.raises(EmptyDomainError):
         RandomSpeedSpec(master_seed=1, kappa=1.0)
+
+
+# ------------------------------------------ smooth curves per ladder level
+
+# the c1-sine levels read their curve on [-1.5, 1.5], the probes' reach
+# within eval_time; the random-speed levels on the base [-2, 2]
+_SINE = GeometricSpec(master_seed=MASTER_SEED, curves=("c1-sine",))
+_SPEED = RandomSpeedSpec(master_seed=MASTER_SEED, n_seeds=1)
+_QUERIED = {"sine-curve": np.linspace(-1.5, 1.5, 2001),
+            "random-feature-field": np.linspace(-2.0, 2.0, 2001)}
+
+
+@pytest.fixture(scope="module")
+def smoothed_levels():
+    """(source, scale, process) of every smoothed field the two runs make."""
+    made = []
+    real = scenarios.EmbeddedField1D
+
+    def recording(process, mol, scale):
+        made.append((process.source.split("(")[-1].rstrip(")"), scale, process))
+        return real(process, mol, scale)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(scenarios, "EmbeddedField1D", recording)
+        assert run_geometric_wave(_SINE).passed
+        assert scenarios.run_random_speed_wave(_SPEED).passed
+    return made
+
+
+def _finest_grid(halfwidth, levels):
+    # the one tabulation grid that every level read before: step finest / 8
+    step = float(levels[-1]) / 8.0
+    return Grid1D(-halfwidth, step, int(math.ceil(2.0 * halfwidth / step)) + 1)
+
+
+def test_smooth_curve_levels_read_their_own_grid(smoothed_levels):
+    # a level that smooths the finest level's tabulation reads a step of
+    # finest / 8 at every scale and fails here
+    seen = {}
+    for source, scale, process in smoothed_levels:
+        assert process.grid.step == scale / 8.0, (source, scale)
+        seen.setdefault(source, []).append(scale)
+    assert seen["sine-curve"] == list(_SINE.sine_ladder.levels())
+    assert seen["random-feature-field"] == list(_SPEED.ladder.levels())
+
+
+def test_smooth_curve_finest_level_keeps_its_tabulation(smoothed_levels):
+    finest = {source: process for source, scale, process in smoothed_levels}
+    grid = _finest_grid(_SINE.path_halfwidth, _SINE.sine_ladder.levels())
+    assert finest["sine-curve"].grid == grid
+    assert np.array_equal(finest["sine-curve"].values,
+                          _SINE.sine_amplitude * np.sin(grid.nodes()))
+    grid = _finest_grid(_SPEED.field_halfwidth, _SPEED.ladder.levels())
+    draw, _ = scenarios._speed_draw(_SPEED, 0)
+    span = _SPEED.speed_hi - _SPEED.speed_lo
+    want = translation_transform(
+        SampledProcess(grid, draw(grid.nodes()), 0, "random-feature-field"),
+        lambda u: _SPEED.speed_lo + span * u)
+    assert finest["random-feature-field"].grid == grid
+    assert np.array_equal(finest["random-feature-field"].values, want.values)
+
+
+# the largest gap, orders 0 and 1, between smoothing a level's own
+# tabulation and the finest level's on the queried range; the random-speed
+# level 0.4 spreads the kernel across its cutoff band [1, 2], which a step
+# of 0.05 resolves less well (at most 3.4e-9 and 4.2e-7 over ten seeds,
+# against that level's smoothing bias of at least 9e-3 and 1.8e-2)
+_LEVEL_GAP = {("random-feature-field", 0.4): (1e-8, 1e-6)}
+
+
+def test_smooth_curve_level_matches_the_finest_tabulation(smoothed_levels):
+    finest = {source: process for source, scale, process in smoothed_levels}
+    for source, scale, process in smoothed_levels:
+        xs = _QUERIED[source]
+        own = EmbeddedField1D(process, MOL, scale)
+        ref = EmbeddedField1D(finest[source], MOL, scale)
+        tol = _LEVEL_GAP.get((source, scale), (1e-11, 1e-11))
+        for order in (0, 1):
+            gap = np.abs(own.values(xs, order) - ref.values(xs, order)).max()
+            assert gap <= tol[order], (source, scale, order, gap)
 
 
 # ----------------------------------------------------- report invariants
