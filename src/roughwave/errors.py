@@ -34,7 +34,8 @@ class EmptyDomainError(RoughwaveError, ValueError):
 
 
 class IterationLimitError(RoughwaveError, RuntimeError):
-    """Fixed-point iteration exhausted max_iter without reaching tolerance."""
+    """A fixed-point iteration exhausted max_iter without reaching tolerance,
+    or a solve's tables fail the residual audit of their own equations."""
 
 
 class ConfigError(RoughwaveError, ValueError):

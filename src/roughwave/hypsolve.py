@@ -5,26 +5,27 @@ The problem class is
     (d/dt + lambda_i(x) d/dx) u_i = sum_j F_ij(x,t) u_j + g_i(x,t),
     u_i(x, 0) = data_i(x),
 
-solved by a global Picard iteration in integral form: every sweep
-rebuilds each component as its initial datum carried along the i-th
-characteristic plus the time integral of the coupled right-hand side
-along that characteristic (trapezoid rule on the time lattice).  The
-data term is evaluated at the characteristic feet exactly, never
-interpolated, so repeated sweeps do not compound interpolation error;
-only the right-hand side reads the previous iterate through linear
-interpolation in x.
+solved in integral form: each component is its initial datum carried
+along the i-th characteristic plus the time integral of the coupled
+right-hand side along that characteristic (trapezoid rule on the time
+lattice).  The data term is evaluated at the characteristic feet
+exactly, never interpolated; the right-hand side reads earlier levels
+through linear interpolation in x.  Those equations are lower-triangular
+in time, since level k reads itself only through the trapezoid's end
+term at its own nodes, so one forward march solves them exactly: one
+n x n solve per node and level.
 
 Speeds and data are fields of x (`Field1D`); couplings and forcing are
 fields of (x, t) (`Field2D`) and may vary in t.  Characteristic feet come
 from one backward flow table per component, built by one-level RK4
 backsteps (:func:`roughwave.characteristics.flow_levels`): for every
 depth m, one (nx, 1) column of feet that every anchor level shares,
-since a speed of x alone gives every anchor the same feet.  One sweep is
-vectorized over anchor levels at fixed feet depth.  Data, coupling and
-forcing values at the feet are computed once, before the first sweep,
-block by block: a row's fields and its datum read one feet block before
-any reads the next, so the wave reduction's two couplings and datum per
-row share one evaluation of the speed and its derivative.
+since a speed of x alone gives every anchor the same feet.  A level's
+equations are vectorized over feet depth.  Data, coupling and forcing
+values at the feet are computed once, before the march, block by block:
+a row's fields and its datum read one feet block before any reads the
+next, so the wave reduction's two couplings and datum per row share one
+evaluation of the speed and its derivative.
 
 `halving_error_estimate` takes the caller's dt solve and runs only the
 dt/2 solve, refusing a coarse solve that is not on its lattice.
@@ -32,7 +33,7 @@ dt/2 solve, refusing a coarse solve that is not on its lattice.
 Values on the tabulation rectangle outside the domain of determinacy of
 the base interval are garbage by construction (feet are clamped).  The
 returned SolutionField carries the determinacy trapezoid and refuses
-point queries outside it; convergence gaps are measured inside it only.
+point queries outside it; the residual audit is measured inside it only.
 """
 
 from __future__ import annotations
@@ -60,7 +61,6 @@ from .smooth import (
     simpson_weights,
 )
 
-AUDIT_FACTOR = 10.0
 ROUGH_STEP_FRACTION = 1.0 / 16.0  # RK4 substep, of the speed's intrinsic scale
 
 
@@ -112,13 +112,15 @@ def _require_type(name: str, f, kind: type, optional: bool = False):
 class SolutionField:
     """Component tables on a space-time lattice plus the trusted region."""
 
-    def __init__(self, x_grid: Grid1D, t_nodes, tables, trust, iterations, gaps, audit_gap):
+    # one forward march solves the equations; the benchmark tracer counts
+    # iterations + 1 passes, the march and the residual audit
+    iterations = 1
+
+    def __init__(self, x_grid: Grid1D, t_nodes, tables, trust, audit_gap):
         self.x_grid = x_grid
         self.t_nodes = np.asarray(t_nodes, dtype=float)
         self.tables = tables  # list of (nx, nt) arrays
         self.trust = trust
-        self.iterations = iterations
-        self.gaps = np.asarray(gaps, dtype=float)
         self.audit_gap = float(audit_gap)
 
     @property
@@ -208,20 +210,15 @@ def _along_feet(fields: list, datum: Field1D, feet: list, t_nodes: np.ndarray):
             )
         for vals, fld, vary in zip(out, fields, varies):
             vals.append(fld.values(*(varying_at if vary else static_at)))
-        data.append(_clip_eval_1d(datum, f[:, 0]))
+        data.append(datum.values(np.clip(f[:, 0], datum.domain.lo, datum.domain.hi)))
     return np.stack(data, axis=1), out
-
-
-def _clip_eval_1d(f: Field1D, xs: np.ndarray) -> np.ndarray:
-    xc = np.clip(xs, f.domain.lo, f.domain.hi)
-    return f.values(xc)
 
 
 def _interp_gather(xs: np.ndarray, pts: np.ndarray):
     """Row indices and weights for linear interpolation in x at one feet column.
 
-    Every anchor level shares the column, so the sweep gathers whole
-    rows, U[idx, :L].
+    Every anchor level shares the column, so one (idx, fr) pair serves
+    every level at that depth.
     """
     dx = xs[1] - xs[0]
     idx = np.clip(((pts - xs[0]) / dx).astype(int), 0, len(xs) - 2)
@@ -229,18 +226,47 @@ def _interp_gather(xs: np.ndarray, pts: np.ndarray):
     return idx[:, 0], fr
 
 
-class _PicardSweep:
-    """One Picard sweep, vectorized over anchor levels at fixed feet depth.
+def _depth_stack(vals: list) -> np.ndarray:
+    """One field's per-depth values as a (K+1, nx, L) stack.
 
-    The right-hand side value at feet depth m and time level l feeds the
-    anchor level k = m + l with trapezoid weight dt (halved at m = 0 and
-    l = 0).  The data term reads the datum at each anchor's level-0 foot.
+    Depth m fills the levels 0 .. K-m that its block feeds; a field of x
+    keeps L = 1, one column that every level shares.
+    """
+    out = np.zeros((len(vals), *vals[0].shape))
+    for m, v in enumerate(vals):
+        out[m, :, : v.shape[1]] = v
+    return out
+
+
+def _on_level(stack: np.ndarray, depth: np.ndarray, k: int) -> np.ndarray:
+    """(len(depth), nx) values of a depth stack that feed anchor level k."""
+    return stack[depth, :, np.minimum(k - depth, stack.shape[2] - 1)]
+
+
+def _solve_level(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Each node's n x n system A U = b, in one batched solve."""
+    try:
+        return np.linalg.solve(A, b[..., None])[..., 0]
+    except np.linalg.LinAlgError:
+        raise ParameterError("dt is too large for the coupling: a level's "
+                             "trapezoid system I - dt/2 C is singular") from None
+
+
+class _LevelMarch:
+    """The discrete integral equations, solved one time level at a time.
+
+    Anchor level k integrates the right-hand side along each component's
+    characteristic by the trapezoid rule: the value at feet depth m sits
+    on level k - m, with weight dt, halved at depth 0 and at level 0.
+    Depths m >= 1 read finished lower levels at their feet; depth 0 is the
+    node itself on level k, so level k solves (I - dt/2 C0) U_k = b at
+    each node, C0 being the coupling there.  The data term reads the
+    datum at each anchor's level-0 foot.
     """
 
     def __init__(self, problem, xs, t_nodes, base, dt):
         n = problem.size
-        K = len(t_nodes) - 1
-        self.K = K
+        self.K = len(t_nodes) - 1
         self.dt = dt
         self.data = []
         self.gather = []
@@ -248,7 +274,8 @@ class _PicardSweep:
         self.force = []
         for i in range(n):
             feet = _feet_blocks(problem.speeds[i], xs, t_nodes, base)
-            self.gather.append([_interp_gather(xs, f) for f in feet])
+            rows, fr = zip(*(_interp_gather(xs, f) for f in feet))
+            self.gather.append((np.stack(rows), np.stack(fr)[:, :, 0]))
             live = [j for j in range(n) if not is_zero_field(problem.coupling[i][j])]
             g = problem.forcing[i]
             row = [problem.coupling[i][j] for j in live]
@@ -256,45 +283,50 @@ class _PicardSweep:
                 row.append(g)
             data, vals = _along_feet(row, problem.data[i], feet, t_nodes)
             self.data.append(data)
-            self.coup.append(list(zip(live, vals)))
-            self.force.append(vals[-1] if len(vals) > len(live) else None)
+            stacks = [_depth_stack(v) for v in vals]
+            self.coup.append(list(zip(live, stacks)))
+            self.force.append(stacks[-1] if len(stacks) > len(live) else None)
 
-    def __call__(self, U):
-        K, dt = self.K, self.dt
-        new = []
+    def level(self, U, k: int):
+        """Level k's equations A U_k = b from the levels below it.
+
+        Returns A = I - dt/2 C0, (nx, n, n), and b, (nx, n).
+        """
+        n, nx = len(self.data), len(self.data[0])
+        depth = np.arange(k + 1)
+        lower = (k - depth[1:])[:, None]   # the level that depth m reads
+        w = np.full((k + 1, 1), self.dt)
+        w[[0, -1]] *= 0.5
+        A = np.tile(np.eye(n), (nx, 1, 1))
+        b = np.empty((nx, n))
         for i, data in enumerate(self.data):
-            tab = data.copy()
-            if self.coup[i] or self.force[i] is not None:
-                for m in range(K + 1):
-                    L = K + 1 - m
-                    rows, fr = self.gather[i][m]
-                    # in place on the gathered rows, so no (nx, L) temporary
-                    # beyond them pages in fresh memory; the products and
-                    # sums are those of the plain expressions, which commute
-                    rhs = None
-                    for j, fv in self.coup[i]:
-                        Uj = U[j]
-                        V = Uj[rows, :L]
-                        V *= 1.0 - fr
-                        hi = Uj[rows + 1, :L]
-                        hi *= fr
-                        V += hi
-                        V *= fv[m]
-                        rhs = V if rhs is None else np.add(rhs, V, out=rhs)
-                    if self.force[i] is not None:
-                        if rhs is None:
-                            rhs = np.zeros((len(tab), L))
-                        rhs += self.force[i][m]
-                    # trapezoid weights: dt, halved at depth 0 and level 0
-                    if m == 0:
-                        rhs = rhs[:, 1:]
-                        rhs *= 0.5 * dt
-                    else:
-                        rhs[:, 0] *= 0.5 * dt
-                        rhs[:, 1:] *= dt
-                    tab[:, max(m, 1):] += rhs
-            new.append(tab)
-        return new
+            rows, fr = (a[1 : k + 1] for a in self.gather[i])
+            g = self.force[i]
+            acc = np.zeros((k + 1, nx)) if g is None else w * _on_level(g, depth, k)
+            for j, c in self.coup[i]:
+                cw = w * _on_level(c, depth, k)
+                A[:, i, j] -= cw[0]
+                Uj = U[j]
+                acc[1:] += cw[1:] * (Uj[rows, lower] * (1.0 - fr) + Uj[rows + 1, lower] * fr)
+            b[:, i] = data[:, k] + acc.sum(axis=0)
+        return A, b
+
+    def __call__(self) -> np.ndarray:
+        """The (n, nx, K+1) tables, level after level."""
+        U = np.empty((len(self.data), len(self.data[0]), self.K + 1))
+        U[:, :, 0] = [d[:, 0] for d in self.data]
+        for k in range(1, self.K + 1):
+            U[:, :, k] = _solve_level(*self.level(U, k)).T
+        return U
+
+    def residual(self, U: np.ndarray, trust_mask: np.ndarray) -> float:
+        """Largest |A U_k - b| of finished tables on the trusted nodes."""
+        worst = 0.0
+        for k in range(1, self.K + 1):
+            A, b = self.level(U, k)
+            r = np.einsum("pij,jp->pi", A, U[:, :, k]) - b
+            worst = max(worst, float(np.max(np.abs(r[trust_mask[:, k]]), initial=0.0)))
+        return worst
 
 
 def solve_system(
@@ -303,17 +335,14 @@ def solve_system(
     horizon: float,
     dt: float,
     x_step: float | None = None,
-    tol: float = 1e-10,
-    max_iter: int = 80,
 ) -> SolutionField:
-    """Global Picard solve over the determinacy trapezoid of `base`.
+    """Solve over the determinacy trapezoid of `base`, one time level at a time.
 
     Tables live on the full base x [0, horizon] rectangle, but anything
-    outside the trapezoid is quarantined: gaps, the audit and all point
-    queries are restricted to it.  Convergence requires the sup-norm
-    update gap on the trusted nodes to fall below tol; one extra sweep
-    after convergence must stay below AUDIT_FACTOR * tol, which guards
-    against a lucky small step masquerading as a fixed point.
+    outside the trapezoid is quarantined: the audit and all point queries
+    are restricted to it.  The audit puts the finished tables back into
+    every level's equations; IterationLimitError if a trusted node misses
+    them by more than 1e-9.
     """
     if not (0.0 < dt < np.inf and 0.0 < horizon < np.inf):
         raise ParameterError(
@@ -341,52 +370,15 @@ def solve_system(
                 f"which does not cover the base interval [{base.lo}, {base.hi}]"
             )
 
-    n = problem.size
-    K = n_levels
-    sweep = _PicardSweep(problem, xs, t_nodes, base, dt_eff)
-    trust_mask = np.stack(
-        [trust.contains(xs, t_nodes[k]) for k in range(K + 1)], axis=1
-    )
-
-    U = [np.tile(_clip_eval_1d(problem.data[i], xs)[:, None], (1, K + 1)) for i in range(n)]
-
-    gaps = []
-    converged = False
-    for sweep_no in range(max_iter):
-        Unew = sweep(U)
-        gap = max(
-            float(np.max(np.abs((Unew[i] - U[i])[trust_mask]))) for i in range(n)
-        )
-        gaps.append(gap)
-        U = Unew
-        if gap <= tol:
-            converged = True
-            break
-    if not converged:
+    march = _LevelMarch(problem, xs, t_nodes, base, dt_eff)
+    U = march()
+    trust_mask = np.stack([trust.contains(xs, t) for t in t_nodes], axis=1)
+    audit = march.residual(U, trust_mask)
+    if audit > 1e-9:
         raise IterationLimitError(
-            f"picard solve did not reach tol={tol} in {max_iter} sweeps "
-            f"(last gap {gaps[-1]:.3g})"
-        )
-
-    Uaudit = sweep(U)
-    audit = max(
-        float(np.max(np.abs((Uaudit[i] - U[i])[trust_mask]))) for i in range(n)
-    )
-    if audit > AUDIT_FACTOR * tol:
-        raise IterationLimitError(
-            f"fixed-point audit failed: extra sweep moved by {audit:.3g} "
-            f"> {AUDIT_FACTOR} * tol"
-        )
-
-    return SolutionField(
-        x_grid=x_grid,
-        t_nodes=t_nodes,
-        tables=U,
-        trust=trust,
-        iterations=sweep_no + 1,
-        gaps=gaps,
-        audit_gap=audit,
-    )
+            f"residual audit failed: the tables miss their equations by {audit:.3g} > 1e-9")
+    return SolutionField(x_grid=x_grid, t_nodes=t_nodes, tables=list(U), trust=trust,
+                         audit_gap=audit)
 
 
 # ------------------------------------------------------------------ wave
@@ -584,19 +576,19 @@ def halving_error_estimate(
     horizon: float,
     dt: float,
     component: int = 0,
-    **kw,
+    x_step: float | None = None,
 ) -> float:
     """Largest node difference between a dt solve and a dt/2 solve.
 
     Standard discretization-error proxy: both solves share the coarse
     lattice nodes, where the fine solve is close to converged in dt.
     `coarse` is the caller's solve_system(problem, base, horizon, dt,
-    **kw); only the dt/2 solve runs here.  ParameterError if `coarse` is
+    x_step); only the dt/2 solve runs here.  ParameterError if `coarse` is
     not on the fine solve's lattice: every second fine time level must
     be a coarse level, and both must share the x nodes (pass x_step, or
     the two dt give two x grids).
     """
-    fine = solve_system(problem, base, horizon, dt / 2.0, **kw)
+    fine = solve_system(problem, base, horizon, dt / 2.0, x_step=x_step)
     if not np.array_equal(fine.t_nodes[::2], coarse.t_nodes):
         raise ParameterError("coarse solve is not on every second level of the dt/2 solve")
     if not np.array_equal(fine.x_grid.nodes(), coarse.x_grid.nodes()):
