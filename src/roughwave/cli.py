@@ -7,11 +7,16 @@ A run configuration is a small YAML mapping:
     ogawa:                     # optional overrides for that scenario
       n_samples: 2000
 
-Sections are validated against the scenario spec dataclasses field by
-field; unknown keys are rejected with the full key path so typos cannot
-silently fall back to defaults.  Exit codes: 0 all checks passed, 1 a
-check failed, 2 configuration or usage problem, 3 runtime failure while
-running the scenario (the error is recorded in the report directory).
+One builder checks each section against its scenario's spec dataclass
+and builds it.  Unknown keys are rejected with the full key path, so
+typos cannot silently fall back to defaults.  Each value is coerced by
+its field's type: integers become floats, list elements take the type of
+the default's first element, and a number must be finite.  A ladder is a
+nested mapping built into an ``EpsLadder`` by the same rules.  Exit
+codes: 0 all checks passed, 1 a check failed, 2 configuration or usage
+problem (an unwritable report directory included), 3 runtime failure
+while running the scenario (the error is recorded in the report
+directory).
 """
 
 from __future__ import annotations
@@ -21,12 +26,12 @@ import os
 import shutil
 import sys
 import traceback
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, is_dataclass
+from typing import get_type_hints
 
 import yaml
 
 from .errors import ConfigError, RoughwaveError
-from .mollify import EpsLadder
 from .scenarios import (SCENARIOS, ScenarioReport, format_value,
                         write_error_report, write_report)
 
@@ -41,80 +46,62 @@ class RunConfig:
     spec: object
 
 
-def _deep_tuple(value):
-    if isinstance(value, (list, tuple)):
-        return tuple(_deep_tuple(v) for v in value)
-    return value
+# what a config value of each spec field type may be, and its name in
+# messages; every field type has an entry, so no value goes unchecked
+_ACCEPTS = {int: (int, "an integer"), float: ((int, float), "a number"),
+            str: (str, "a string"), tuple: ((list, tuple), "a list")}
 
 
-def _build_ladder(value, path: str) -> EpsLadder:
-    if not isinstance(value, dict):
-        raise ConfigError(f"'{path}' must be a mapping with eps0/ratio/count")
-    declared = {f.name: f.type for f in fields(EpsLadder)}
-    for key in value:
-        if key not in declared:
-            raise ConfigError(f"unknown config key '{path}.{key}'")
-    kwargs = {key: _coerce(v, declared[key], f"{path}.{key}")
-              for key, v in value.items()}
-    try:
-        return EpsLadder(**kwargs)
-    except (RoughwaveError, TypeError) as exc:
-        raise ConfigError(f"'{path}': {exc}") from exc
-
-
-def _coerce(value, declared: str, path: str, default=None):
-    # spec dataclasses use postponed annotations, so field types arrive
-    # as strings; tuple elements take their type from the field's default
-    # and are converted like scalars, so 1 and 1.0 build the same spec
-    if declared == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"'{path}' must be an integer, got {value!r}")
-        return value
-    if declared == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"'{path}' must be a number, got {value!r}")
+def _coerce(value, kind, path: str, default):
+    # integers become floats, so 1 and 1.0 build the same spec; tuple
+    # elements take the type of the default's first element
+    if is_dataclass(kind):
+        return _build(kind, value, path)
+    accepts, noun = _ACCEPTS[kind]
+    if isinstance(value, bool) or not isinstance(value, accepts):
+        raise ConfigError(f"'{path}' must be {noun}, got {value!r}")
+    if kind is float:
+        # false for inf, nan and integers beyond the largest float
+        if not abs(value) <= sys.float_info.max:
+            raise ConfigError(f"'{path}' must be finite, got {value!r}")
         return float(value)
-    if declared == "str":
-        if not isinstance(value, str):
-            raise ConfigError(f"'{path}' must be a string, got {value!r}")
-        return value
-    if declared == "tuple":
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"'{path}' must be a list, got {value!r}")
-        value = _deep_tuple(value)
-        if isinstance(default, tuple) and default:
-            value = tuple(
-                _coerce(v, type(default[0]).__name__, f"{path}[{k}]", default[0])
-                for k, v in enumerate(value))
-        return value
-    if declared == "EpsLadder":
-        return _build_ladder(value, path)
+    if kind is tuple:
+        first = default[0]
+        return tuple(_coerce(v, type(first), f"{path}[{k}]", first)
+                     for k, v in enumerate(value))
     return value
 
 
-def _validate_section(name: str, section, build: bool, master_seed=None):
-    spec_cls, _ = SCENARIOS[name]
-    if section is None:
-        section = {}
-    if not isinstance(section, dict):
-        raise ConfigError(f"section '{name}' must be a mapping")
-    by_name = {f.name: f for f in fields(spec_cls)}
+def _build(cls, mapping, path: str, build: bool = True, **fixed):
+    """Check a config mapping against dataclass cls, then build it.
+
+    Keys must name fields of cls; keys in fixed are supplied by the caller
+    and refused here.  Each value is coerced by its field's type, a
+    dataclass-typed field by this same walk.  With build false the spec is
+    checked but not constructed.  An empty mapping (None) means defaults.
+    """
+    if mapping is None:
+        mapping = {}
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"'{path}' must be a mapping, got {mapping!r}")
+    hints = get_type_hints(cls)
+    defaults = {f.name: f.default for f in fields(cls)}
     kwargs = {}
-    for key, value in section.items():
-        path = f"{name}.{key}"
-        if key == "master_seed":
-            raise ConfigError(
-                f"'{path}': master_seed belongs at the top level")
-        if key not in by_name:
-            raise ConfigError(f"unknown config key '{path}'")
-        kwargs[key] = _coerce(value, by_name[key].type, path,
-                              by_name[key].default)
+    for key, value in mapping.items():
+        key_path = f"{path}.{key}"
+        if key in fixed:
+            raise ConfigError(f"'{key_path}': {key} belongs at the top level")
+        if key not in defaults:
+            raise ConfigError(f"unknown config key '{key_path}'")
+        kwargs[key] = _coerce(value, hints[key], key_path, defaults[key])
     if not build:
         return None
     try:
-        return spec_cls(master_seed=master_seed, **kwargs)
-    except RoughwaveError as exc:
-        raise ConfigError(f"section '{name}': {exc}") from exc
+        return cls(**fixed, **kwargs)
+    # a missing field is a TypeError, and a check that cannot evaluate a
+    # value (an overflow) has refused it
+    except (RoughwaveError, TypeError, ArithmeticError) as exc:
+        raise ConfigError(f"'{path}': {exc}") from exc
 
 
 def parse_config(data, seed_override: int | None = None) -> RunConfig:
@@ -145,14 +132,13 @@ def parse_config(data, seed_override: int | None = None) -> RunConfig:
     if not 0 <= seed < _MAX_SEED:
         raise ConfigError(f"'master_seed' out of range [0, 2^63): {seed}")
 
-    # validate every present section so a typo in an inactive one is
-    # still caught; only the selected section is built
-    spec = None
-    for name in SCENARIOS:
-        if name == scenario:
-            spec = _validate_section(name, data.get(name), True, seed)
-        elif name in data:
-            _validate_section(name, data[name], False)
+    # check every present section so a typo in an inactive one is still
+    # caught; only the selected section is built
+    for name, (spec_cls, _) in SCENARIOS.items():
+        if name != scenario and name in data:
+            _build(spec_cls, data[name], name, build=False, master_seed=seed)
+    spec = _build(SCENARIOS[scenario][0], data.get(scenario), scenario,
+                  master_seed=seed)
     return RunConfig(scenario=scenario, spec=spec)
 
 
@@ -248,7 +234,11 @@ def main(argv=None) -> int:
         print(f"runtime error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
 
-    write_report(report, outdir)
+    try:
+        write_report(report, outdir)
+    except OSError as exc:
+        print(f"error: cannot write the report directory: {exc}", file=sys.stderr)
+        return 2
     _print_report(report, args.verbosity)
     if args.verbosity >= 1:
         print(f"report written to {outdir}")

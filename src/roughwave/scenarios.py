@@ -19,7 +19,7 @@ import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, is_dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -170,9 +170,8 @@ def _echo(spec) -> dict:
     out = {}
     for f in fields(spec):
         v = getattr(spec, f.name)
-        if isinstance(v, EpsLadder):
-            for part in ("eps0", "ratio", "count", "scale_map"):
-                out[f"{f.name}.{part}"] = getattr(v, part)
+        if is_dataclass(v):
+            out.update((f"{f.name}.{k}", x) for k, x in _echo(v).items())
         elif isinstance(v, tuple):
             out[f.name] = ";".join(format_value(x) for x in v)
         else:

@@ -1,6 +1,9 @@
 import os
+import re
 import subprocess
 import sys
+from dataclasses import fields, is_dataclass
+from typing import get_type_hints
 
 import pytest
 import yaml
@@ -261,10 +264,14 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
      "where the brownian curve is defined"),
     ("calibration", {"transport_time": 50}, "determinacy collapse time"),
     ("calibration", {"transport_speed": float("nan")},
-     "sampled speed bound nan is not finite"),
+     "'calibration.transport_speed' must be finite, got nan"),
     ("random-speed-wave", {"dt": 0.3, "horizon": 0.5}, "dt/2 refinement"),
     # the smoothed speeds reach speed_hi times the kernel's L1 norm 1.14
     ("random-speed-wave", {"speed_hi": 10.0}, "no determinate set"),
+    ("random-speed-wave", {"horizon": float("inf")},
+     "'random-speed-wave.horizon' must be finite, got inf"),
+    # dt/2 underflows, so the lattice check's horizon / (dt/2) overflows
+    ("random-speed-wave", {"dt": 1.0e-320}, "'random-speed-wave': cannot convert"),
 ], ids=["speed-lo-negative", "empty-domain", "ogawa-eps-negative",
         "ogawa-no-check-times", "ogawa-one-sample", "calibration-dt-zero",
         "calibration-kappa-negative", "geometric-one-level-sine-ladder",
@@ -276,7 +283,8 @@ def test_cli_meaningless_additive_values_are_config_errors(capsys, tmp_path,
         "geometric-flat-probe-past-4", "geometric-linear-probe-past-minus-4",
         "geometric-sine-probe-past-path", "geometric-brownian-probe-past-path",
         "calibration-transport-past-collapse", "calibration-transport-speed-nan",
-        "random-speed-off-lattice-dt", "random-speed-fast-speed"])
+        "random-speed-off-lattice-dt", "random-speed-fast-speed",
+        "random-speed-infinite-horizon", "random-speed-subnormal-dt"])
 def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
                                                        scenario, overrides,
                                                        message):
@@ -285,8 +293,53 @@ def test_cli_meaningless_spec_values_are_config_errors(capsys, tmp_path,
                         scenario: overrides})
     outdir = tmp_path / "out"
     assert main([cfg, "--output-dir", str(outdir)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert message in err
+    assert err.startswith("config error: ") and err.count("\n") == 1
     assert not outdir.exists()
+
+
+def _float_leaves(items, bad):
+    """(index suffix, items with that float set to bad) per float leaf."""
+    for k, item in enumerate(items):
+        if isinstance(item, float):
+            yield f"[{k}]", [*items[:k], bad, *items[k + 1:]]
+        elif isinstance(item, tuple):
+            for suffix, inner in _float_leaves(item, bad):
+                yield f"[{k}]{suffix}", [*items[:k], inner, *items[k + 1:]]
+
+
+def _float_cases(cls, path, bad):
+    """(key path, section mapping) with one float of a cls config set to bad."""
+    hints = get_type_hints(cls)
+    for f in fields(cls):
+        kind, key = hints[f.name], f"{path}.{f.name}"
+        if kind is float:
+            yield key, {f.name: bad}
+        elif kind is tuple:
+            for suffix, value in _float_leaves(f.default, bad):
+                yield key + suffix, {f.name: value}
+        elif is_dataclass(kind):
+            ladder = f.default_factory()
+            filled = {g.name: getattr(ladder, g.name) for g in fields(kind)}
+            for sub_key, sub in _float_cases(kind, key, bad):
+                yield sub_key, {f.name: {**filled, **sub}}
+
+
+@pytest.mark.parametrize("scenario", list(SCENARIOS))
+def test_parse_refuses_non_finite_numbers(scenario):
+    # every float field, ladder float and float list element, so a new
+    # float field is covered without editing this test
+    spec_cls, _ = SCENARIOS[scenario]
+    cases = 0
+    for bad in (float("inf"), float("nan")):
+        for path, section in _float_cases(spec_cls, scenario, bad):
+            cases += 1
+            data = {"scenario": scenario, "master_seed": 7, scenario: section}
+            with pytest.raises(ConfigError, match=re.escape(
+                    f"'{path}' must be finite, got {bad}")):
+                parse_config(data)
+    assert cases >= 2
 
 
 def test_cli_field_halfwidth_the_spec_accepts_runs(capsys, tmp_path):
@@ -371,6 +424,24 @@ def test_cli_unwritable_output_dir_is_usage_error(capsys, tmp_path, target):
     assert "Traceback" not in captured.err
     assert (tmp_path / "taken").read_text() == "keep"
     assert sorted(os.listdir(tmp_path)) == ["c.yaml", "taken"]
+
+
+def test_cli_unwritable_report_is_usage_error(capsys, tmp_path):
+    # a directory where the run's spread.csv would go: the run succeeds
+    # and the report cannot be written
+    cfg = write_config(tmp_path / "c.yaml",
+                       {"scenario": "ogawa", "master_seed": 7,
+                        "ogawa": {"n_samples": 50}})
+    blocker = tmp_path / "out" / "spread.csv"
+    blocker.mkdir(parents=True)
+    (blocker / "keep").write_text("keep")
+    assert main([cfg, "--output-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write the report directory: ")
+    assert err.count("\n") == 1
+    assert "Traceback" not in err
+    assert os.listdir(blocker) == ["keep"]
+    assert (blocker / "keep").read_text() == "keep"
 
 
 def test_cli_ogawa_run_writes_report(capsys, tmp_path):
